@@ -71,14 +71,19 @@ inline void PrintHeader(const char* title) {
   std::putchar('\n');
 }
 
+// Host clock reading taken during static initialization, before main():
+// the start of the bench process for host-time purposes.
+inline const std::chrono::steady_clock::time_point kProcessStart =
+    std::chrono::steady_clock::now();
+
 // Machine-diffable results: collects named metrics during a bench run and
 // writes them as results/BENCH_<name>.json, together with the total virtual
-// (simulated) time, host wall time (started at construction), peak RSS, and
-// process-lifetime heap-allocation counters (from bench/alloc_hook.cc).
+// (simulated) time, host wall time since process start (so a bench may build
+// its JsonResults after the work), peak RSS, and process-lifetime
+// heap-allocation counters (from bench/alloc_hook.cc).
 class JsonResults {
  public:
-  explicit JsonResults(std::string bench_name)
-      : name_(std::move(bench_name)), host_start_(std::chrono::steady_clock::now()) {}
+  explicit JsonResults(std::string bench_name) : name_(std::move(bench_name)) {}
 
   void Add(std::string metric, double value, std::string unit = "") {
     entries_.push_back(Entry{std::move(metric), value, std::move(unit)});
@@ -86,11 +91,11 @@ class JsonResults {
 
   void set_virtual_ns(graysim::Nanos t) { virtual_ns_ = t; }
 
-  // Host seconds since construction. Benches that gate their wall time in
+  // Host seconds since process start. Benches that gate their wall time in
   // CI emit this as an explicit metric (unit "host_s") so check_perf can
   // hold it to an absolute ceiling rather than the loose ops/s factor.
-  [[nodiscard]] double HostSeconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - host_start_)
+  [[nodiscard]] static double HostSeconds() {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - kProcessStart)
         .count();
   }
 
@@ -104,9 +109,7 @@ class JsonResults {
       std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
       return false;
     }
-    const double host_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - host_start_)
-            .count();
+    const double host_s = HostSeconds();
     struct rusage usage{};
     getrusage(RUSAGE_SELF, &usage);  // ru_maxrss is in KB on Linux
     const AllocCounts allocs = AllocSnapshot();
@@ -152,7 +155,6 @@ class JsonResults {
   }
 
   std::string name_;
-  std::chrono::steady_clock::time_point host_start_;
   graysim::Nanos virtual_ns_ = 0;
   std::vector<Entry> entries_;
 };

@@ -12,7 +12,10 @@
 // three depths (O(1)) while the heap degrades logarithmically. A final
 // section prices Machine::Snapshot/Fork — nanoseconds per fork and bytes
 // per image on a warmed machine — the costs the robustness-matrix
-// warm-once/fork-per-cell pattern depends on.
+// warm-once/fork-per-cell pattern depends on. The last two sections price
+// a fleet host's life cycle: building a service-shaped Machine (host ns and
+// exact heap bytes per build) and unlinking a small file out of a 1M-page
+// page cache (the DropFile path every simulated unlink takes).
 //
 // Loops are deterministic (fixed xorshift seed) and sized to run long
 // enough to dominate timer noise while keeping the whole binary under a
@@ -39,6 +42,7 @@ using graysim::EventQueue;
 using graysim::FrameId;
 using graysim::kNoFrame;
 using graysim::Machine;
+using graysim::MachineConfig;
 using graysim::MachineImage;
 using graysim::MemPolicy;
 using graysim::MemSystem;
@@ -263,6 +267,60 @@ void BenchSnapshotFork(gbench::JsonResults& json) {
   json.Add("machine_image_bytes", static_cast<double>(image.os.ApproxBytes()), "bytes");
 }
 
+// Builds the load service's machine shape (64 MB, 16 MB reserved, two
+// disks) over and over: host ns per build and the exact heap bytes one
+// build allocates. Teardown runs outside the timed region.
+void BenchMachineBuild(gbench::JsonResults& json) {
+  MachineConfig config;
+  config.phys_mem_bytes = 64 * gbench::kMb;
+  config.kernel_reserved_bytes = 16 * gbench::kMb;
+  config.num_disks = 2;
+  constexpr int kBuilds = 200;
+  double build_ns = 0.0;
+  std::uint64_t bytes = 0;
+  for (int i = 0; i < kBuilds; ++i) {
+    const gbench::AllocCounts before = gbench::ThreadAllocSnapshot();
+    const auto start = std::chrono::steady_clock::now();
+    auto machine = std::make_unique<Machine>(PlatformProfile::Linux22(), config,
+                                             static_cast<std::uint32_t>(i), 1);
+    build_ns += std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() -
+                                                         start)
+                    .count();
+    bytes = gbench::ThreadAllocSnapshot().bytes - before.bytes;
+  }
+  build_ns /= kBuilds;
+  std::printf("%-28s %10.0f ns/build %10.0f heap bytes/build\n", "machine_build", build_ns,
+              static_cast<double>(bytes));
+  json.Add("machine_build_ns", build_ns, "host_ns");
+  json.Add("machine_bytes", static_cast<double>(bytes), "heap_bytes");
+}
+
+// Unlink cost at scale: a page cache holding 1M pages as 65,536 files of
+// 16 pages each, then DropFile of every other file. Each drop probes only
+// the dropped file's own pages, so its cost does not grow with the cache.
+void BenchDropFile(gbench::JsonResults& json) {
+  constexpr std::uint64_t kPages = 1 << 20;
+  constexpr std::uint64_t kPagesPerFile = 16;
+  constexpr std::uint64_t kFiles = kPages / kPagesPerFile;
+  MemSystem mem(MemSystem::Config{kPages, MemPolicy::kUnifiedLru, 0});
+  PageCache cache(&mem);
+  CacheEvictions handler(&cache);
+  mem.set_evict_handler(&handler);
+  Nanos cost = 0;
+  for (std::uint64_t f = 1; f <= kFiles; ++f) {
+    for (std::uint64_t p = 0; p < kPagesPerFile; ++p) {
+      (void)cache.Insert(static_cast<graysim::Inum>(f), p, p % 4 == 0, &cost);
+    }
+  }
+  const LoopResult r = TimeLoop(kFiles / 2, [&](std::uint64_t i) {
+    cache.DropFile(static_cast<graysim::Inum>(2 * i + 1));
+  });
+  const double drop_ns = 1e3 / r.mops;
+  std::printf("%-28s %10.0f ns/drop (16-page file, 1M-page cache; %llu pages left)\n",
+              "drop_file", drop_ns, static_cast<unsigned long long>(cache.resident_pages()));
+  json.Add("drop_file_ns", drop_ns, "host_ns");
+}
+
 }  // namespace
 
 int main() {
@@ -302,6 +360,8 @@ int main() {
   }
 
   BenchSnapshotFork(json);
+  BenchMachineBuild(json);
+  BenchDropFile(json);
 
   json.Write();
   return 0;

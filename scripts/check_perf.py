@@ -64,6 +64,17 @@ not noise. Unit "goodput" (requests that finished clean and under the
 scenario timeout, per virtual second) is the matching multiplicative
 floor: fresh must be at least baseline * (1 - goodput_slack).
 
+Metrics with unit "heap_bytes" (exact heap bytes allocated by one
+operation, counted by bench/alloc_hook.cc, e.g. micro_datastructures'
+machine_bytes per Machine build) are ceiling-gated multiplicatively:
+fresh must be at most baseline * (1 + BYTES_SLACK), a fixed 10%. The
+count is deterministic, so the slack only absorbs small deliberate
+changes; an eagerly built table reappearing multiplies it.
+
+Metrics with unit "host_ns" (host nanoseconds per operation, lower is
+better, e.g. machine_build_ns and drop_file_ns) get the same loose factor
+as ops/s, as a ceiling: fresh must be at most baseline * factor.
+
 A baseline whose fresh BENCH_*.json is MISSING is a hard failure: a bench
 that crashed (or was dropped from the build) before writing its JSON must
 not pass the gate by silence. Use --only=name1,name2 to restrict the
@@ -78,6 +89,9 @@ import argparse
 import json
 import pathlib
 import sys
+
+# Ceiling slack for "heap_bytes" metrics (see the module docstring).
+BYTES_SLACK = 0.10
 
 
 def load(path: pathlib.Path) -> dict:
@@ -187,17 +201,20 @@ def main(argv=None) -> int:
             if fresh_abs[name] > ceiling:
                 failures.append(f"{base_path.name}:{name}")
 
-        base_lat = unit_metrics(base, "latency_ns")
-        fresh_lat = unit_metrics(fresh, "latency_ns")
-        for name in sorted(base_lat.keys() & fresh_lat.keys()):
-            compared += 1
-            ceiling = base_lat[name] * (1.0 + args.latency_slack)
-            status = "ok" if fresh_lat[name] <= ceiling else "FAIL"
-            print(f"{status:4} {base_path.name}:{name}: "
-                  f"{fresh_lat[name]:.4g} ns vs baseline {base_lat[name]:.4g} "
-                  f"(ceiling {ceiling:.4g})")
-            if fresh_lat[name] > ceiling:
-                failures.append(f"{base_path.name}:{name}")
+        for unit, multiplier in (("latency_ns", 1.0 + args.latency_slack),
+                                 ("heap_bytes", 1.0 + BYTES_SLACK),
+                                 ("host_ns", args.factor)):
+            base_mul = unit_metrics(base, unit)
+            fresh_mul = unit_metrics(fresh, unit)
+            for name in sorted(base_mul.keys() & fresh_mul.keys()):
+                compared += 1
+                ceiling = base_mul[name] * multiplier
+                status = "ok" if fresh_mul[name] <= ceiling else "FAIL"
+                print(f"{status:4} {base_path.name}:{name}: "
+                      f"{fresh_mul[name]:.4g} {unit} vs baseline {base_mul[name]:.4g} "
+                      f"(ceiling {ceiling:.4g})")
+                if fresh_mul[name] > ceiling:
+                    failures.append(f"{base_path.name}:{name}")
 
         base_good = unit_metrics(base, "goodput")
         fresh_good = unit_metrics(fresh, "goodput")

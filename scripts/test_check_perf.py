@@ -6,8 +6,8 @@ Runs under pytest (CI lint job) and plain unittest
 
 The cases pin the gate's load-bearing behaviors: a baseline whose fresh
 JSON is missing must FAIL (not silently skip), the additive floors/ceilings
-bind on the correct side, the multiplicative latency/goodput gates bind on
-the correct side, and --only restricts which baselines are compared.
+bind on the correct side, the multiplicative latency/goodput/heap-bytes/host-ns
+gates bind on the correct side, and --only restricts which baselines are compared.
 """
 
 import json
@@ -133,6 +133,22 @@ class CheckPerfTest(unittest.TestCase):
         self.assertEqual(self.run_gate("--goodput-slack=0.10"), 0)  # at floor
         self.write(self.fresh, "load", bench_doc([("goodput_rps", 449.0, "goodput")]))
         self.assertEqual(self.run_gate("--goodput-slack=0.10"), 1)
+
+    def test_heap_bytes_ceiling_binds_exactly(self):
+        self.write(self.baseline, "micro", bench_doc([("machine_bytes", 1000.0, "heap_bytes")]))
+        self.write(self.fresh, "micro", bench_doc([("machine_bytes", 1100.0, "heap_bytes")]))
+        self.assertEqual(self.run_gate(), 0)  # at ceiling
+        self.write(self.fresh, "micro", bench_doc([("machine_bytes", 1101.0, "heap_bytes")]))
+        self.assertEqual(self.run_gate(), 1)
+
+    def test_host_ns_ceiling_uses_the_factor(self):
+        self.write(self.baseline, "micro", bench_doc([("drop_file_ns", 100.0, "host_ns")]))
+        self.write(self.fresh, "micro", bench_doc([("drop_file_ns", 500.0, "host_ns")]))
+        self.assertEqual(self.run_gate("--factor=5"), 0)  # at ceiling
+        self.write(self.fresh, "micro", bench_doc([("drop_file_ns", 501.0, "host_ns")]))
+        self.assertEqual(self.run_gate("--factor=5"), 1)
+        self.write(self.fresh, "micro", bench_doc([("drop_file_ns", 1.0, "host_ns")]))
+        self.assertEqual(self.run_gate("--factor=5"), 0)  # faster passes
 
     # ---- host_time_s factor gate ----
 

@@ -1,5 +1,6 @@
 #include "src/cache/page_cache.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace graysim {
@@ -32,6 +33,8 @@ bool PageCache::Insert(Inum inum, std::uint64_t page, bool dirty, Nanos* evict_c
   }
   pages_.Put(key, ref);
   ++per_file_count_[inum];
+  std::uint64_t& end = per_file_end_[inum];
+  end = std::max(end, page + 1);
   return true;
 }
 
@@ -66,35 +69,66 @@ bool PageCache::OnEvicted(const Page& page) {
   assert(count != nullptr);
   if (--*count == 0) {
     per_file_count_.Erase(inum);
+    per_file_end_.Erase(inum);
   }
   pages_.Erase(key);
   return was_dirty;
 }
 
-void PageCache::DropFile(Inum inum) {
-  pages_.EraseIf([&](std::uint64_t key, FrameId ref) {
-    if (KeyInum(key) != inum) {
-      return false;
-    }
+void PageCache::DropFilePagesFrom(Inum inum, std::uint64_t first_page) {
+  std::uint64_t* count = per_file_count_.Find(inum);
+  if (count == nullptr) {
+    return;
+  }
+  std::uint64_t* end = per_file_end_.Find(inum);
+  assert(end != nullptr);
+  if (first_page >= *end) {
+    return;
+  }
+  const auto drop = [&](FrameId ref) {
     ClearDirty(ref);
     mem_->Remove(ref);
-    return true;
-  });
-  per_file_count_.Erase(inum);
+    --*count;
+  };
+  if ((*end - first_page) * 2 < pages_.slot_count()) {
+    // Probe the file's own pages, in page order, until none are left. The
+    // table ends up the same as after the slot scan below: backward-shift
+    // deletion leaves the layout the erased keys would never have touched,
+    // whatever order they go in.
+    for (std::uint64_t page = first_page; page < *end && *count > 0; ++page) {
+      const std::uint64_t key = Key(inum, page);
+      if (const FrameId* ref = pages_.Find(key); ref != nullptr) {
+        drop(*ref);
+        pages_.Erase(key);
+      }
+    }
+  } else {
+    // The range spans at least half the table: one pass over the slots is
+    // cheaper than probing every page of it.
+    pages_.EraseIf([&](std::uint64_t key, FrameId ref) {
+      if (KeyInum(key) != inum || KeyPage(key) < first_page) {
+        return false;
+      }
+      drop(ref);
+      return true;
+    });
+  }
+  if (*count == 0) {
+    per_file_count_.Erase(inum);
+    per_file_end_.Erase(inum);
+  } else {
+    *end = first_page;  // every page at or beyond it is gone
+  }
 }
 
-void PageCache::DropFilePagesFrom(Inum inum, std::uint64_t first_page) {
-  pages_.EraseIf([&](std::uint64_t key, FrameId ref) {
-    if (KeyInum(key) != inum || KeyPage(key) < first_page) {
-      return false;
-    }
-    ClearDirty(ref);
-    mem_->Remove(ref);
-    std::uint64_t* count = per_file_count_.Find(inum);
-    if (--*count == 0) {
-      per_file_count_.Erase(inum);
-    }
-    return true;
+void PageCache::CopyStateFrom(const PageCache& other) {
+  pages_ = other.pages_;
+  per_file_count_ = other.per_file_count_;
+  dirty_order_ = other.dirty_order_;
+  per_file_end_.Clear();
+  pages_.ForEach([this](std::uint64_t key, FrameId) {
+    std::uint64_t& end = per_file_end_[KeyInum(key)];
+    end = std::max(end, KeyPage(key) + 1);
   });
 }
 
@@ -107,6 +141,7 @@ void PageCache::DropAll(std::vector<std::pair<Inum, std::uint64_t>>* dirty_dropp
   });
   pages_.Clear();
   per_file_count_.Clear();
+  per_file_end_.Clear();
   dirty_order_.Clear();
 }
 

@@ -10,6 +10,12 @@
 // the shared FrameTable (dirty_prev/dirty_next ids in each frame), so the
 // access / insert / dirty paths perform no heap allocation. A file page's
 // Page::dirty bit is exactly "on the dirty chain".
+//
+// Beside the per-file page count the cache keeps a per-file bound, one past
+// the highest page cached since the file last had none. Dropping a file (or
+// its tail) then probes just that file's page range instead of scanning the
+// whole slot array. The bound is derived state: it is not checkpointed and
+// is rebuilt from the residency map on CopyStateFrom.
 #ifndef SRC_CACHE_PAGE_CACHE_H_
 #define SRC_CACHE_PAGE_CACHE_H_
 
@@ -54,7 +60,7 @@ class PageCache {
 
   // Drops every page of a file (unlink/truncate); dirty contents are
   // discarded (the file is going away).
-  void DropFile(Inum inum);
+  void DropFile(Inum inum) { DropFilePagesFrom(inum, 0); }
 
   // Drops cached pages at or beyond `first_page` (shrinking truncate).
   void DropFilePagesFrom(Inum inum, std::uint64_t first_page);
@@ -107,16 +113,15 @@ class PageCache {
   // Copies another cache's bookkeeping (machine snapshot/fork). The frame
   // ids in the maps and the intrusive dirty-chain head refer into the
   // MemSystem slab, which the owner copies alongside; mem_ stays bound to
-  // this cache's own MemSystem.
-  void CopyStateFrom(const PageCache& other) {
-    pages_ = other.pages_;
-    per_file_count_ = other.per_file_count_;
-    dirty_order_ = other.dirty_order_;
-  }
+  // this cache's own MemSystem. The per-file bounds are rebuilt from the
+  // copied map, so a cache restored by the checkpoint loader (which fills
+  // only the serialized maps) gets them as well.
+  void CopyStateFrom(const PageCache& other);
 
   // Heap footprint of the residency maps (snapshot-size accounting).
   [[nodiscard]] std::uint64_t ApproxBytes() const {
-    return sizeof(PageCache) + pages_.capacity_bytes() + per_file_count_.capacity_bytes();
+    return sizeof(PageCache) + pages_.capacity_bytes() + per_file_count_.capacity_bytes() +
+           per_file_end_.capacity_bytes();
   }
 
   // --- checkpoint surface (machine_image_io) ------------------------------
@@ -145,6 +150,7 @@ class PageCache {
   MemSystem* mem_;
   FlatMap<FrameId> pages_;               // packed key -> frame id
   FlatMap<std::uint64_t> per_file_count_;  // inum -> resident pages
+  FlatMap<std::uint64_t> per_file_end_;    // inum -> bound above its cached pages
   DirtyList dirty_order_;                // intrusive chain, oldest first
 };
 

@@ -44,7 +44,7 @@ Ffs::Ffs(FsParams params, std::uint64_t disk_capacity_bytes) : params_(params) {
       (params_.inodes_per_cg + inodes_per_block - 1) / inodes_per_block;
 
   groups_.resize(cg_count);
-  inodes_.resize(cg_count * params_.inodes_per_cg + 1);
+  inode_chunks_.resize(cg_count);
   for (std::uint64_t c = 0; c < cg_count; ++c) {
     CylGroup& cg = groups_[c];
     cg.first_block = c * params_.blocks_per_cg;
@@ -131,10 +131,15 @@ FsErr Ffs::ResolveParent(std::string_view path, Inum* parent, std::string* leaf)
 }
 
 const Ffs::Inode* Ffs::Get(Inum inum) const {
-  if (inum == kInvalidInum || inum >= inodes_.size() || !inodes_[inum].in_use) {
+  if (inum == kInvalidInum) {
     return nullptr;
   }
-  return &inodes_[inum];
+  const std::size_t c = (inum - 1) / params_.inodes_per_cg;
+  if (c >= inode_chunks_.size() || inode_chunks_[c].empty()) {
+    return nullptr;
+  }
+  const Inode& node = inode_chunks_[c][(inum - 1) % params_.inodes_per_cg];
+  return node.in_use ? &node : nullptr;
 }
 
 Ffs::Inode* Ffs::Get(Inum inum) {
@@ -157,7 +162,11 @@ Inum Ffs::AllocInode(std::uint32_t cg_hint, bool is_dir) {
         cg.inode_used[slot] = true;
         --cg.free_inodes;
         const Inum inum = static_cast<Inum>(c * params_.inodes_per_cg + slot + 1);
-        Inode& node = inodes_[inum];
+        std::vector<Inode>& chunk = inode_chunks_[c];
+        if (chunk.empty()) {
+          chunk.resize(params_.inodes_per_cg);
+        }
+        Inode& node = chunk[slot];
         node = Inode{};
         node.in_use = true;
         node.is_dir = is_dir;
@@ -641,6 +650,50 @@ bool GetBits(ByteReader& r, std::vector<bool>* bits) {
 
 }  // namespace
 
+void Ffs::WriteInode(ByteWriter& w, const Inode& ino) {
+  w.Bool(ino.is_dir);
+  w.U64(ino.size);
+  w.I64(ino.atime);
+  w.I64(ino.mtime);
+  w.I64(ino.ctime);
+  w.U64(ino.creation_seq);
+  w.U32(ino.cg);
+  w.U64(ino.blocks.size());
+  for (const std::uint64_t b : ino.blocks) {
+    w.U64(b);
+  }
+  // child_order is creation order; children re-derives from (name, inum)
+  // pairs written in that same order.
+  w.U64(ino.child_order.size());
+  for (const std::string& name : ino.child_order) {
+    w.Str(name);
+    const auto it = ino.children.find(name);
+    w.U32(it == ino.children.end() ? kInvalidInum : it->second);
+  }
+}
+
+void Ffs::ReadInode(ByteReader& r, Inode* ino) {
+  ino->is_dir = r.Bool();
+  ino->size = r.U64();
+  ino->atime = r.I64();
+  ino->mtime = r.I64();
+  ino->ctime = r.I64();
+  ino->creation_seq = r.U64();
+  ino->cg = r.U32();
+  ino->blocks.resize(r.Count(8));
+  for (std::uint64_t& b : ino->blocks) {
+    b = r.U64();
+  }
+  const std::uint64_t n_children = r.Count(9);  // name length + inum
+  ino->child_order.reserve(n_children);
+  for (std::uint64_t i = 0; i < n_children; ++i) {
+    std::string name = r.Str();
+    const Inum child = r.U32();
+    ino->children.emplace(name, child);
+    ino->child_order.push_back(std::move(name));
+  }
+}
+
 void Ffs::SerializeTo(ByteWriter& w) const {
   w.U32(params_.block_size);
   w.U64(params_.total_blocks);
@@ -662,30 +715,23 @@ void Ffs::SerializeTo(ByteWriter& w) const {
     w.U64(g.rotor);
   }
 
-  w.U64(inodes_.size());
-  for (const Inode& ino : inodes_) {
-    w.Bool(ino.in_use);
-    if (!ino.in_use) {
+  // One in-use flag per i-number slot 0..groups*inodes_per_cg, then the
+  // inode itself when set. A group with no chunk writes only clear flags, so
+  // the encoding is the same as for a table built in full.
+  w.U64(groups_.size() * params_.inodes_per_cg + 1);
+  w.Bool(false);  // i-number 0 is never allocated
+  for (const std::vector<Inode>& chunk : inode_chunks_) {
+    if (chunk.empty()) {
+      for (std::uint32_t slot = 0; slot < params_.inodes_per_cg; ++slot) {
+        w.Bool(false);
+      }
       continue;
     }
-    w.Bool(ino.is_dir);
-    w.U64(ino.size);
-    w.I64(ino.atime);
-    w.I64(ino.mtime);
-    w.I64(ino.ctime);
-    w.U64(ino.creation_seq);
-    w.U32(ino.cg);
-    w.U64(ino.blocks.size());
-    for (const std::uint64_t b : ino.blocks) {
-      w.U64(b);
-    }
-    // child_order is creation order; children re-derives from (name, inum)
-    // pairs written in that same order.
-    w.U64(ino.child_order.size());
-    for (const std::string& name : ino.child_order) {
-      w.Str(name);
-      const auto it = ino.children.find(name);
-      w.U32(it == ino.children.end() ? kInvalidInum : it->second);
+    for (const Inode& ino : chunk) {
+      w.Bool(ino.in_use);
+      if (ino.in_use) {
+        WriteInode(w, ino);
+      }
     }
   }
 
@@ -720,33 +766,23 @@ bool Ffs::DeserializeFrom(ByteReader& r) {
     g.rotor = r.U64();
   }
 
-  inodes_.clear();
-  inodes_.resize(r.Count(1));
-  for (Inode& ino : inodes_) {
-    ino.in_use = r.Bool();
-    if (!ino.in_use) {
-      continue;
-    }
-    ino.is_dir = r.Bool();
-    ino.size = r.U64();
-    ino.atime = r.I64();
-    ino.mtime = r.I64();
-    ino.ctime = r.I64();
-    ino.creation_seq = r.U64();
-    ino.cg = r.U32();
-    ino.blocks.resize(r.Count(8));
-    for (std::uint64_t& b : ino.blocks) {
-      b = r.U64();
-    }
-    const std::uint64_t n_children = r.Count(9);  // name length + inum
-    ino.child_order.clear();
-    ino.child_order.reserve(n_children);
-    ino.children.clear();
-    for (std::uint64_t i = 0; i < n_children; ++i) {
-      std::string name = r.Str();
-      const Inum child = r.U32();
-      ino.children.emplace(name, child);
-      ino.child_order.push_back(std::move(name));
+  const std::uint32_t per_cg = params_.inodes_per_cg;
+  const std::uint64_t slots = r.Count(1);
+  if (per_cg == 0 || slots == 0 || (slots - 1) % per_cg != 0 ||
+      (slots - 1) / per_cg != groups_.size() || r.Bool()) {
+    return false;  // the table must cover exactly the groups; i-number 0 is never used
+  }
+  inode_chunks_.assign(groups_.size(), {});
+  for (std::vector<Inode>& chunk : inode_chunks_) {
+    for (std::uint32_t slot = 0; slot < per_cg && r.ok(); ++slot) {
+      if (!r.Bool()) {
+        continue;
+      }
+      if (chunk.empty()) {
+        chunk.resize(per_cg);
+      }
+      chunk[slot].in_use = true;
+      ReadInode(r, &chunk[slot]);
     }
   }
 

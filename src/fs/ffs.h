@@ -153,10 +153,12 @@ class Ffs {
   // Rough heap footprint in bytes (snapshot-size accounting; directory
   // payload strings are counted structurally, not byte-exactly).
   [[nodiscard]] std::uint64_t ApproxBytes() const {
-    std::uint64_t bytes = sizeof(Ffs);
-    for (const Inode& ino : inodes_) {
-      bytes += sizeof(Inode) + ino.blocks.capacity() * sizeof(std::uint64_t) +
-               ino.child_order.capacity() * sizeof(std::string);
+    std::uint64_t bytes = sizeof(Ffs) + inode_chunks_.capacity() * sizeof(std::vector<Inode>);
+    for (const std::vector<Inode>& chunk : inode_chunks_) {
+      for (const Inode& ino : chunk) {
+        bytes += sizeof(Inode) + ino.blocks.capacity() * sizeof(std::uint64_t) +
+                 ino.child_order.capacity() * sizeof(std::string);
+      }
     }
     for (const CylGroup& g : groups_) {
       bytes += sizeof(CylGroup) + g.block_used.capacity() / 8 + g.inode_used.capacity() / 8;
@@ -199,6 +201,9 @@ class Ffs {
   [[nodiscard]] const Inode* Get(Inum inum) const;
   [[nodiscard]] Inode* Get(Inum inum);
 
+  static void WriteInode(ByteWriter& w, const Inode& ino);
+  static void ReadInode(ByteReader& r, Inode* ino);
+
   // Allocates an inode in (preferably) cylinder group `cg_hint`, lowest free
   // slot first (FFS reuses freed inodes lowest-first — key to Fig 6 aging).
   [[nodiscard]] Inum AllocInode(std::uint32_t cg_hint, bool is_dir);
@@ -219,7 +224,12 @@ class Ffs {
 
   FsParams params_;
   std::vector<CylGroup> groups_;
-  std::vector<Inode> inodes_;  // indexed by inum (slot 0 unused)
+  // Inode storage, one chunk of inodes_per_cg per cylinder group, indexed by
+  // slot (inum - 1 = group * inodes_per_cg + slot). A chunk stays empty until
+  // the group's first AllocInode and is never resized after that, so an
+  // Inode* stays valid across later allocations. Which slots are live is
+  // still decided by the groups' inode_used bitmaps.
+  std::vector<std::vector<Inode>> inode_chunks_;
   Inum root_ = kInvalidInum;
   std::uint64_t free_data_blocks_ = 0;
   std::uint64_t creation_counter_ = 0;

@@ -1,5 +1,7 @@
 #include "src/os/scheduler.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -21,6 +23,7 @@ extern "C" {
 void __sanitizer_start_switch_fiber(void** fake_stack_save, const void* bottom, size_t size);
 void __sanitizer_finish_switch_fiber(void* fake_stack_save, const void** bottom_old,
                                      size_t* size_old);
+void __asan_unpoison_memory_region(void const volatile* addr, size_t size);
 }
 #endif
 
@@ -53,6 +56,62 @@ namespace {
 // user data), but event closures — daemon reclaim, cache fills — run on
 // whichever fiber stack is current, so leave generous headroom.
 constexpr std::size_t kFiberStackBytes = 512 * 1024;
+
+// PROT_NONE region mapped directly below each stack. An overflow walks down
+// into it and takes SIGSEGV at the faulting frame instead of silently
+// overwriting whatever the allocator placed below. 64 KB (a whole number of
+// pages on every Linux page size) also catches a single frame that jumps
+// past one guard page; it costs address space only.
+constexpr std::size_t kGuardBytes = 64 * 1024;
+
+// Fiber stacks of one host thread. The pool belongs to the thread, not to a
+// Scheduler, so a fleet thread that builds and tears down hundreds of
+// machines maps each stack once and reuses it warm: no per-machine
+// allocation, no zero-fill, and its pages are faulted in only as deep as a
+// fiber ever reaches. Per thread rather than process-wide because a
+// scheduler runs all its fibers on one thread, so acquire/release never
+// contend, and a stack never migrates between threads (nothing for TSan
+// to order). The stacks are unmapped when the thread exits.
+class StackPool {
+ public:
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+
+  ~StackPool() {
+    for (char* stack : free_) {
+      munmap(stack - kGuardBytes, kGuardBytes + kFiberStackBytes);
+    }
+  }
+
+  // Returns the lowest usable byte of a kFiberStackBytes stack.
+  char* Acquire() {
+    if (!free_.empty()) {
+      char* stack = free_.back();
+      free_.pop_back();
+#if defined(GRAYSIM_ASAN_FIBERS)
+      // A fiber's last frames never return (it switches away for good), so
+      // their redzones would stay poisoned into the stack's next use.
+      __asan_unpoison_memory_region(stack, kFiberStackBytes);
+#endif
+      return stack;
+    }
+    void* base = mmap(nullptr, kGuardBytes + kFiberStackBytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    if (base == MAP_FAILED || mprotect(base, kGuardBytes, PROT_NONE) != 0) {
+      std::perror("graysim: fiber stack mmap");
+      std::abort();
+    }
+    return static_cast<char*>(base) + kGuardBytes;
+  }
+
+  void Release(char* stack) { free_.push_back(stack); }
+
+ private:
+  std::vector<char*> free_;
+};
+
+thread_local StackPool t_stack_pool;
 
 // The trampoline installed by makecontext takes no arguments, so the
 // scheduler whose Run() is executing parks itself here. thread_local, not
@@ -87,7 +146,7 @@ void Scheduler::SwitchToFiber(int i) {
   current_ = i;
   f.slice_used = 0;
 #if defined(GRAYSIM_ASAN_FIBERS)
-  __sanitizer_start_switch_fiber(&main_fake_stack_, f.stack.get(), f.stack_size);
+  __sanitizer_start_switch_fiber(&main_fake_stack_, f.stack, kFiberStackBytes);
 #endif
 #if defined(GRAYSIM_TSAN_FIBERS)
   __tsan_switch_to_fiber(f.tsan_fiber, 0);
@@ -135,16 +194,10 @@ void Scheduler::Run(const std::vector<std::function<void(int)>>& bodies) {
   fibers_.reserve(n);
   for (int i = 0; i < n; ++i) {
     auto f = std::make_unique<Fiber>();
-    if (!stack_pool_.empty()) {
-      f->stack = std::move(stack_pool_.back());
-      stack_pool_.pop_back();
-    } else {
-      f->stack = std::make_unique<char[]>(kFiberStackBytes);
-    }
-    f->stack_size = kFiberStackBytes;
+    f->stack = t_stack_pool.Acquire();
     getcontext(&f->ctx);
-    f->ctx.uc_stack.ss_sp = f->stack.get();
-    f->ctx.uc_stack.ss_size = f->stack_size;
+    f->ctx.uc_stack.ss_sp = f->stack;
+    f->ctx.uc_stack.ss_size = kFiberStackBytes;
     f->ctx.uc_link = nullptr;  // fibers exit via SwitchToMain, never return
     makecontext(&f->ctx, &Scheduler::Trampoline, 0);
 #if defined(GRAYSIM_TSAN_FIBERS)
@@ -193,7 +246,7 @@ void Scheduler::Run(const std::vector<std::function<void(int)>>& bodies) {
 #if defined(GRAYSIM_TSAN_FIBERS)
     __tsan_destroy_fiber(f->tsan_fiber);
 #endif
-    stack_pool_.push_back(std::move(f->stack));
+    t_stack_pool.Release(f->stack);
   }
   fibers_.clear();
 }

@@ -17,6 +17,11 @@
 // running-scheduler slot consulted by the makecontext trampoline is
 // thread_local, so N independent machines may run on N host threads
 // concurrently (the fleet model) with zero shared state between them.
+//
+// Fiber stacks are borrowed for the length of one Run() from a pool owned by
+// the host thread (see scheduler.cc): mmap'd, with a PROT_NONE guard region
+// below each one so an overflow faults instead of corrupting the heap, and
+// reused across Run() calls and across every machine the thread builds.
 #ifndef SRC_OS_SCHEDULER_H_
 #define SRC_OS_SCHEDULER_H_
 
@@ -79,8 +84,7 @@ class Scheduler {
 
   struct Fiber {
     ucontext_t ctx{};
-    std::unique_ptr<char[]> stack;
-    std::size_t stack_size = 0;
+    char* stack = nullptr;  // lowest usable byte; borrowed from the thread's pool
     State state = State::kReady;
     Nanos slice_used = 0;
     // ASan bookkeeping: the fake-stack handle saved across switches away
@@ -109,10 +113,6 @@ class Scheduler {
   obs::TraceSink* trace_ = nullptr;
   std::vector<std::uint32_t> fiber_tracks_;  // trace track id per fiber index
   std::vector<std::unique_ptr<Fiber>> fibers_;
-  // Fiber stacks recycled across Run() calls: repeated process batches
-  // (experiment trials, benchmark rounds) reuse warm stacks instead of
-  // paying a 512 KB allocation per process per run.
-  std::vector<std::unique_ptr<char[]>> stack_pool_;
   const std::vector<std::function<void(int)>>* bodies_ = nullptr;
   ucontext_t main_ctx_{};
   void* main_fake_stack_ = nullptr;

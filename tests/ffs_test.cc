@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -312,6 +313,181 @@ TEST(FfsTest, LargeFileSpansGroupsMostlyContiguously) {
   ASSERT_EQ(fs.Create("/big", &inum), FsErr::kOk);
   ASSERT_EQ(fs.Resize(inum, 128ULL << 20, 0), FsErr::kOk);  // 128 MB
   EXPECT_GT(fs.ContiguityOf(inum), 0.99);
+}
+
+
+// --- inode table allocated per cylinder group on first use ---------------
+
+// Aged-file-system goldens (see AgedImageBytesAndInumOrderMatchTheFullTable).
+constexpr std::size_t kGoldenInumCount = 2259;
+constexpr std::uint64_t kGoldenInumHash = 15223023685986459960ULL;
+constexpr std::size_t kGoldenImageSize = 808605;
+constexpr std::uint64_t kGoldenImageHash = 11683498362914358344ULL;
+
+// FNV-1a over a byte buffer.
+std::uint64_t Fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h = (h ^ b) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// Ages a file system deterministically: directories spread over groups,
+// files of mixed sizes, unlinks, renames and re-creates (which reuse freed
+// i-numbers lowest-first). Returns every i-number handed out, in order.
+std::vector<Inum> Age(Ffs& fs) {
+  std::vector<Inum> handed_out;
+  std::uint64_t rng = 0x9E3779B97F4A7C15ULL;
+  const auto next = [&rng] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng >> 33;
+  };
+  constexpr int kDirs = 6;
+  constexpr int kFilesPerDir = 300;
+  for (int d = 0; d < kDirs; ++d) {
+    Inum inum = kInvalidInum;
+    EXPECT_EQ(fs.Mkdir("/d" + std::to_string(d), &inum), FsErr::kOk);
+    handed_out.push_back(inum);
+  }
+  int created = 0;
+  for (int round = 0; round < 4; ++round) {
+    fs.set_clock_hint(Seconds(static_cast<double>(round)));
+    for (int i = 0; i < kDirs * kFilesPerDir / 2; ++i) {
+      const std::string path = "/d" + std::to_string(next() % kDirs) + "/f" +
+                               std::to_string(next() % kFilesPerDir);
+      Inum inum = kInvalidInum;
+      if (fs.Lookup(path, &inum) == FsErr::kOk) {
+        if (next() % 4 == 0) {
+          EXPECT_EQ(fs.Rename(path, path + "r" + std::to_string(created++)), FsErr::kOk);
+        } else {
+          EXPECT_EQ(fs.Unlink(path), FsErr::kOk);
+        }
+        continue;
+      }
+      if (fs.Create(path, &inum) != FsErr::kOk) {
+        ADD_FAILURE() << "create " << path;
+        continue;
+      }
+      handed_out.push_back(inum);
+      EXPECT_EQ(fs.Resize(inum, 1 + next() % (256 * 1024), Seconds(round + 0.5)), FsErr::kOk);
+    }
+  }
+  return handed_out;
+}
+
+std::vector<std::uint8_t> Serialized(const Ffs& fs) {
+  ByteWriter w;
+  fs.SerializeTo(w);
+  return w.Take();
+}
+
+TEST(FfsSparseTest, AgedImageBytesAndInumOrderMatchTheFullTable) {
+  // Golden values were produced by the eagerly built inode table this one
+  // replaced: the checkpoint encoding and the i-number reuse order (which
+  // FLDC's inferences read) must not move.
+  Ffs fs = MakeFs();
+  const std::vector<Inum> inums = Age(fs);
+  std::vector<std::uint8_t> inum_bytes;
+  for (const Inum inum : inums) {
+    for (int i = 0; i < 4; ++i) {
+      inum_bytes.push_back(static_cast<std::uint8_t>(inum >> (8 * i)));
+    }
+  }
+  const std::vector<std::uint8_t> bytes = Serialized(fs);
+  EXPECT_EQ(inums.size(), kGoldenInumCount);
+  EXPECT_EQ(Fnv1a(inum_bytes), kGoldenInumHash);
+  EXPECT_EQ(bytes.size(), kGoldenImageSize);
+  EXPECT_EQ(Fnv1a(bytes), kGoldenImageHash);
+}
+
+TEST(FfsSparseTest, LoadedImageReserializesIdentically) {
+  Ffs fs = MakeFs(AllocatorKind::kSparse);
+  (void)Age(fs);
+  const std::vector<std::uint8_t> bytes = Serialized(fs);
+  Ffs loaded = MakeFs();
+  ByteReader r(bytes.data(), bytes.size());
+  ASSERT_TRUE(loaded.DeserializeFrom(r));
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(Serialized(loaded), bytes);
+  // Both continue identically: the next i-numbers come from the bitmaps.
+  for (int i = 0; i < 20; ++i) {
+    Inum a = kInvalidInum;
+    Inum b = kInvalidInum;
+    ASSERT_EQ(fs.Create("/d1/post" + std::to_string(i), &a), FsErr::kOk);
+    ASSERT_EQ(loaded.Create("/d1/post" + std::to_string(i), &b), FsErr::kOk);
+    EXPECT_EQ(a, b);
+  }
+  EXPECT_EQ(Serialized(loaded), Serialized(fs));
+}
+
+TEST(FfsSparseTest, InodeTableMustCoverExactlyTheGroups) {
+  const Ffs fs = MakeFs();
+  const std::vector<std::uint8_t> bytes = Serialized(fs);
+  // Locate the slot count (groups * inodes_per_cg + 1, little-endian U64).
+  const std::uint64_t slots = fs.GroupCount() * fs.params().inodes_per_cg + 1;
+  std::vector<std::uint8_t> pattern;
+  for (int i = 0; i < 8; ++i) {
+    pattern.push_back(static_cast<std::uint8_t>(slots >> (8 * i)));
+  }
+  const auto at = std::search(bytes.begin(), bytes.end(), pattern.begin(), pattern.end());
+  ASSERT_NE(at, bytes.end());
+  const auto offset = static_cast<std::size_t>(at - bytes.begin());
+  for (const std::uint64_t bad : {slots - 1, slots + fs.params().inodes_per_cg, std::uint64_t{0}}) {
+    std::vector<std::uint8_t> corrupt = bytes;
+    for (int i = 0; i < 8; ++i) {
+      corrupt[offset + i] = static_cast<std::uint8_t>(bad >> (8 * i));
+    }
+    Ffs loaded = MakeFs();
+    ByteReader r(corrupt.data(), corrupt.size());
+    EXPECT_FALSE(loaded.DeserializeFrom(r)) << "slot count " << bad;
+  }
+}
+
+TEST(FfsSparseTest, UntouchedGroupsHaveNoInodes) {
+  Ffs fs = MakeFs();
+  const std::uint32_t per_cg = fs.params().inodes_per_cg;
+  const Inum last_group_first = static_cast<Inum>((fs.GroupCount() - 1) * per_cg + 1);
+  InodeAttr attr;
+  EXPECT_EQ(fs.GetAttr(last_group_first, &attr), FsErr::kNotFound);
+  EXPECT_EQ(fs.GetAttr(last_group_first + per_cg - 1, &attr), FsErr::kNotFound);
+  EXPECT_EQ(fs.GetAttr(static_cast<Inum>(fs.GroupCount() * per_cg + 1), &attr),
+            FsErr::kNotFound);
+  EXPECT_EQ(fs.GetAttr(kInvalidInum, &attr), FsErr::kNotFound);
+  EXPECT_EQ(fs.creation_seq_of(last_group_first), 0u);
+  // Only the root's group holds inodes: well under the ~11 MB a full table
+  // of this disk's groups would take.
+  EXPECT_LT(fs.ApproxBytes(), std::uint64_t{1} << 20);
+}
+
+TEST(FfsSparseTest, CopiedFileSystemIsIndependent) {
+  Ffs source = MakeFs();
+  (void)Age(source);
+  const std::vector<std::uint8_t> before = Serialized(source);
+  Ffs fork = source;
+  EXPECT_EQ(Serialized(fork), before);
+
+  // Mutate the fork, including a directory (and so a group chunk) the
+  // source never touched.
+  Inum dir = kInvalidInum;
+  ASSERT_EQ(fork.Mkdir("/fresh", &dir), FsErr::kOk);
+  Inum inum = kInvalidInum;
+  ASSERT_EQ(fork.Create("/fresh/x", &inum), FsErr::kOk);
+  ASSERT_EQ(fork.Resize(inum, 1 << 20, Seconds(9.0)), FsErr::kOk);
+  std::vector<DirEntryInfo> entries;
+  ASSERT_EQ(fork.ListDir("/d2", &entries), FsErr::kOk);
+  ASSERT_FALSE(entries.empty());
+  ASSERT_EQ(fork.Unlink("/d2/" + entries.front().name), FsErr::kOk);
+  EXPECT_EQ(Serialized(source), before);
+  InodeAttr attr;
+  EXPECT_EQ(source.GetAttr(dir, &attr), FsErr::kNotFound);
+  EXPECT_EQ(source.GetAttr(entries.front().inum, &attr), FsErr::kOk);
+
+  // And the other way round.
+  const std::vector<std::uint8_t> fork_bytes = Serialized(fork);
+  ASSERT_EQ(source.Mkdir("/other", &dir), FsErr::kOk);
+  ASSERT_EQ(source.Create("/other/y", &inum), FsErr::kOk);
+  EXPECT_EQ(Serialized(fork), fork_bytes);
 }
 
 }  // namespace

@@ -1,11 +1,20 @@
 // Deterministic fiber scheduler: fairness, sleeping, determinism, and
 // scaling across process counts (TEST_P sweep). Sleep/wake goes through the
-// discrete-event queue, so every fixture pairs the scheduler with one.
+// discrete-event queue, so every fixture pairs the scheduler with one. The
+// last tests cover the fiber stacks themselves: an overflow stops on the
+// guard page, and a host thread's stacks are unmapped when it exits.
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
+#include <cstdint>
+#include <cstring>
+#include <fstream>
 #include <functional>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/os/scheduler.h"
@@ -193,6 +202,105 @@ TEST_P(SchedulerScaling, ManyProcessesAllFinishDeterministically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ProcCounts, SchedulerScaling, ::testing::Values(1, 2, 4, 8, 16));
+
+// --- stack overflow --------------------------------------------------------
+
+// Address of a local in the overflowing fiber's first frame: the top of its
+// stack, give or take a few hundred bytes.
+const char* volatile g_fiber_stack_top = nullptr;
+constexpr int kGuardHitExit = 42;
+
+void WriteStderr(const char* msg) { (void)!write(STDERR_FILENO, msg, std::strlen(msg)); }
+
+// Runs on an alternate stack (the fiber's own is exhausted). Exits with
+// kGuardHitExit only when the fault lies within one frame below the
+// fiber's 512 KB stack: the first touch of the guard region. Without a
+// guard the recursion would run on into whatever lies below (and fault, if
+// at all, much deeper).
+void OnOverflowFault(int, siginfo_t* info, void*) {
+  const auto top = reinterpret_cast<std::uintptr_t>(g_fiber_stack_top);
+  const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  const std::uintptr_t depth = top - addr;
+  if (addr < top && depth > 500 * 1024 && depth < 520 * 1024) {
+    WriteStderr("fiber stack overflow stopped at the guard page\n");
+    _exit(kGuardHitExit);
+  }
+  WriteStderr("SIGSEGV outside the fiber's guard page\n");
+  _exit(1);
+}
+
+// Each frame holds a 1 KB buffer, far smaller than the guard region, so the
+// recursion cannot step over it.
+[[gnu::noinline]] int Recurse(int depth) {
+  volatile char pad[1024];
+  pad[0] = static_cast<char>(depth);
+  if (depth > 10'000'000) {
+    return pad[0];
+  }
+  return Recurse(depth + 1) + pad[0];
+}
+
+void OverflowAFiber() {
+  static char alt_stack[64 * 1024];
+  stack_t ss{};
+  ss.ss_sp = alt_stack;
+  ss.ss_size = sizeof(alt_stack);
+  sigaltstack(&ss, nullptr);
+  struct sigaction sa{};
+  sa.sa_sigaction = OnOverflowFault;
+  sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+  sigemptyset(&sa.sa_mask);
+  sigaction(SIGSEGV, &sa, nullptr);
+
+  SimClock clock;
+  EventQueue events(kTieSeed);
+  Scheduler sched(&clock, &events, Millis(10.0));
+  int sink = 0;
+  sched.Run({[&](int) {
+    char top = 0;
+    g_fiber_stack_top = &top;
+    sink = Recurse(0);
+  }});
+  WriteStderr("recursion returned\n");
+  std::exit(sink == 0 ? 2 : 3);
+}
+
+TEST(SchedulerDeathTest, FiberStackOverflowHitsTheGuardPage) {
+  // Overflow must fail loudly at the faulting frame, never run on into
+  // whatever memory lies below the stack.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(OverflowAFiber(), ::testing::ExitedWithCode(kGuardHitExit),
+              "stopped at the guard page");
+}
+
+// Memory mappings of this process (one line each in /proc/self/maps).
+int MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  int lines = 0;
+  for (std::string line; std::getline(maps, line);) {
+    ++lines;
+  }
+  return lines;
+}
+
+TEST(SchedulerTest, ThreadExitUnmapsItsStacks) {
+  // Each pooled stack is two mappings (guard + stack). A host thread that
+  // ran 32 fibers holds 32 stacks until it exits, then unmaps them all.
+  constexpr int kFibers = 32;
+  const int before = MappingCount();
+  int during = 0;
+  std::thread worker([&] {
+    SimClock clock;
+    EventQueue events(kTieSeed);
+    Scheduler sched(&clock, &events, Millis(1.0));
+    sched.Run(std::vector<std::function<void(int)>>(
+        kFibers, [&](int p) { sched.Charge(p, Millis(2.0)); }));
+    during = MappingCount();
+  });
+  worker.join();
+  EXPECT_GE(during, before + 2 * kFibers);
+  EXPECT_LT(MappingCount(), before + 2 * kFibers);
+}
 
 }  // namespace
 }  // namespace graysim
