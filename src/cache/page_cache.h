@@ -19,6 +19,7 @@
 #ifndef SRC_CACHE_PAGE_CACHE_H_
 #define SRC_CACHE_PAGE_CACHE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -124,7 +125,20 @@ class PageCache {
            per_file_end_.capacity_bytes();
   }
 
-  // --- checkpoint surface (machine_image_io) ------------------------------
+  // Checkpoint form (src/sim/archive.h): both maps with their exact slot
+  // layouts, then the dirty chain's head/tail/size (its links live in the
+  // frame slab). Neither map ever holds more entries than the machine has
+  // frames, and pages_ is reserved for exactly that many, so a capacity
+  // above max(16, 4 x frames) cannot come from a real machine.
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    const std::uint64_t max_capacity = std::max<std::uint64_t>(16, 4 * mem_->total_pages());
+    pages_.Transfer(ar, max_capacity);
+    per_file_count_.Transfer(ar, max_capacity);
+    ar(dirty_order_);
+  }
+
+  // Raw state for the slot-scan reference model in page_cache_index_test.
   [[nodiscard]] const FlatMap<FrameId>& pages_map() const { return pages_; }
   [[nodiscard]] FlatMap<FrameId>& pages_map_mutable() { return pages_; }
   [[nodiscard]] const FlatMap<std::uint64_t>& per_file_counts() const {

@@ -46,6 +46,17 @@ struct DiskStats {
   Nanos busy_time = 0;
 };
 
+template <typename Ar>
+void Transfer(Ar& ar, DiskStats& s) {
+  ar(s.requests, s.sequential_requests, s.seeks, s.bytes_read, s.bytes_written, s.busy_time);
+}
+
+template <typename Ar>
+void Transfer(Ar& ar, DiskGeometry& g) {
+  ar(g.capacity_bytes, g.rpm, g.min_seek_ms, g.full_stroke_seek_ms, g.transfer_mb_per_s,
+     g.controller_overhead_us, g.cylinder_span_bytes, g.inter_request_rotation_miss_ms);
+}
+
 // A single disk. Access() returns the service time of a contiguous request
 // and updates the head position.
 class Disk {
@@ -72,15 +83,12 @@ class Disk {
   [[nodiscard]] Nanos RotationalLatency() const;  // average: half a revolution
   [[nodiscard]] Nanos TransferTime(std::uint64_t bytes) const;
 
-  // --- checkpoint surface (machine_image_io) ------------------------------
-  // Head position is mechanical state: the next request's seek cost depends
-  // on it, so a restore that forgot it would diverge timing immediately.
-  [[nodiscard]] std::uint64_t head_pos() const { return head_pos_; }
-  [[nodiscard]] bool head_valid() const { return head_valid_; }
-  void RestoreState(std::uint64_t head_pos, bool head_valid, const DiskStats& stats) {
-    head_pos_ = head_pos;
-    head_valid_ = head_valid;
-    stats_ = stats;
+  // Checkpoint form (src/sim/archive.h). The head position is mechanical
+  // state: the next request's seek cost depends on it, so a restore that
+  // forgot it would diverge timing immediately.
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(head_pos_, head_valid_, stats_);
   }
 
  private:

@@ -615,184 +615,4 @@ std::uint64_t Ffs::creation_seq_of(Inum inum) const {
   return node == nullptr ? 0 : node->creation_seq;
 }
 
-namespace {
-
-void PutBits(ByteWriter& w, const std::vector<bool>& bits) {
-  w.U64(bits.size());
-  std::uint8_t acc = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    acc |= static_cast<std::uint8_t>(bits[i] ? 1 : 0) << (i % 8);
-    if (i % 8 == 7) {
-      w.U8(acc);
-      acc = 0;
-    }
-  }
-  if (bits.size() % 8 != 0) {
-    w.U8(acc);
-  }
-}
-
-bool GetBits(ByteReader& r, std::vector<bool>* bits) {
-  const std::uint64_t n = r.Count(0);
-  if ((n + 7) / 8 > r.remaining()) {
-    return false;
-  }
-  bits->assign(n, false);
-  std::uint8_t acc = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (i % 8 == 0) {
-      acc = r.U8();
-    }
-    (*bits)[i] = ((acc >> (i % 8)) & 1) != 0;
-  }
-  return r.ok();
-}
-
-}  // namespace
-
-void Ffs::WriteInode(ByteWriter& w, const Inode& ino) {
-  w.Bool(ino.is_dir);
-  w.U64(ino.size);
-  w.I64(ino.atime);
-  w.I64(ino.mtime);
-  w.I64(ino.ctime);
-  w.U64(ino.creation_seq);
-  w.U32(ino.cg);
-  w.U64(ino.blocks.size());
-  for (const std::uint64_t b : ino.blocks) {
-    w.U64(b);
-  }
-  // child_order is creation order; children re-derives from (name, inum)
-  // pairs written in that same order.
-  w.U64(ino.child_order.size());
-  for (const std::string& name : ino.child_order) {
-    w.Str(name);
-    const auto it = ino.children.find(name);
-    w.U32(it == ino.children.end() ? kInvalidInum : it->second);
-  }
-}
-
-void Ffs::ReadInode(ByteReader& r, Inode* ino) {
-  ino->is_dir = r.Bool();
-  ino->size = r.U64();
-  ino->atime = r.I64();
-  ino->mtime = r.I64();
-  ino->ctime = r.I64();
-  ino->creation_seq = r.U64();
-  ino->cg = r.U32();
-  ino->blocks.resize(r.Count(8));
-  for (std::uint64_t& b : ino->blocks) {
-    b = r.U64();
-  }
-  const std::uint64_t n_children = r.Count(9);  // name length + inum
-  ino->child_order.reserve(n_children);
-  for (std::uint64_t i = 0; i < n_children; ++i) {
-    std::string name = r.Str();
-    const Inum child = r.U32();
-    ino->children.emplace(name, child);
-    ino->child_order.push_back(std::move(name));
-  }
-}
-
-void Ffs::SerializeTo(ByteWriter& w) const {
-  w.U32(params_.block_size);
-  w.U64(params_.total_blocks);
-  w.U64(params_.blocks_per_cg);
-  w.U32(params_.inodes_per_cg);
-  w.U32(params_.inode_size);
-  w.U8(static_cast<std::uint8_t>(params_.allocator));
-  w.U32(params_.sparse_file_gap_blocks);
-
-  w.U64(groups_.size());
-  for (const CylGroup& g : groups_) {
-    w.U64(g.first_block);
-    w.U64(g.data_start);
-    w.U64(g.data_end);
-    PutBits(w, g.block_used);
-    PutBits(w, g.inode_used);
-    w.U64(g.free_blocks);
-    w.U32(g.free_inodes);
-    w.U64(g.rotor);
-  }
-
-  // One in-use flag per i-number slot 0..groups*inodes_per_cg, then the
-  // inode itself when set. A group with no chunk writes only clear flags, so
-  // the encoding is the same as for a table built in full.
-  w.U64(groups_.size() * params_.inodes_per_cg + 1);
-  w.Bool(false);  // i-number 0 is never allocated
-  for (const std::vector<Inode>& chunk : inode_chunks_) {
-    if (chunk.empty()) {
-      for (std::uint32_t slot = 0; slot < params_.inodes_per_cg; ++slot) {
-        w.Bool(false);
-      }
-      continue;
-    }
-    for (const Inode& ino : chunk) {
-      w.Bool(ino.in_use);
-      if (ino.in_use) {
-        WriteInode(w, ino);
-      }
-    }
-  }
-
-  w.U32(root_);
-  w.U64(free_data_blocks_);
-  w.U64(creation_counter_);
-  w.U32(dir_cg_rotor_);
-  w.U64(log_head_);
-  w.I64(now_hint_);
-}
-
-bool Ffs::DeserializeFrom(ByteReader& r) {
-  params_.block_size = r.U32();
-  params_.total_blocks = r.U64();
-  params_.blocks_per_cg = r.U64();
-  params_.inodes_per_cg = r.U32();
-  params_.inode_size = r.U32();
-  params_.allocator = static_cast<AllocatorKind>(r.U8());
-  params_.sparse_file_gap_blocks = r.U32();
-
-  groups_.clear();
-  groups_.resize(r.Count(32));
-  for (CylGroup& g : groups_) {
-    g.first_block = r.U64();
-    g.data_start = r.U64();
-    g.data_end = r.U64();
-    if (!GetBits(r, &g.block_used) || !GetBits(r, &g.inode_used)) {
-      return false;
-    }
-    g.free_blocks = r.U64();
-    g.free_inodes = r.U32();
-    g.rotor = r.U64();
-  }
-
-  const std::uint32_t per_cg = params_.inodes_per_cg;
-  const std::uint64_t slots = r.Count(1);
-  if (per_cg == 0 || slots == 0 || (slots - 1) % per_cg != 0 ||
-      (slots - 1) / per_cg != groups_.size() || r.Bool()) {
-    return false;  // the table must cover exactly the groups; i-number 0 is never used
-  }
-  inode_chunks_.assign(groups_.size(), {});
-  for (std::vector<Inode>& chunk : inode_chunks_) {
-    for (std::uint32_t slot = 0; slot < per_cg && r.ok(); ++slot) {
-      if (!r.Bool()) {
-        continue;
-      }
-      if (chunk.empty()) {
-        chunk.resize(per_cg);
-      }
-      chunk[slot].in_use = true;
-      ReadInode(r, &chunk[slot]);
-    }
-  }
-
-  root_ = r.U32();
-  free_data_blocks_ = r.U64();
-  creation_counter_ = r.U64();
-  dir_cg_rotor_ = r.U32();
-  log_head_ = r.U64();
-  now_hint_ = r.I64();
-  return r.ok();
-}
-
 }  // namespace graysim

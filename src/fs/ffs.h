@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/byte_io.h"
 #include "src/sim/clock.h"
 
 namespace graysim {
@@ -71,6 +70,13 @@ struct FsParams {
   AllocatorKind allocator = AllocatorKind::kPacked;
   std::uint32_t sparse_file_gap_blocks = 12;  // gap left between files (kSparse)
 };
+
+template <typename Ar>
+void Transfer(Ar& ar, FsParams& p) {
+  ar(p.block_size, p.total_blocks, p.blocks_per_cg, p.inodes_per_cg, p.inode_size);
+  ar.Enum(p.allocator, AllocatorKind::kLogStructured);
+  ar(p.sparse_file_gap_blocks);
+}
 
 struct InodeAttr {
   Inum inum = kInvalidInum;
@@ -144,11 +150,43 @@ class Ffs {
     return {groups_[g].first_block, groups_[g].data_start};
   }
 
-  // Durable checkpoint serialization (machine_image_io). Writes the complete
-  // metadata state — geometry params, group bitmaps, inode table including
-  // directory payloads — in deterministic (index / sorted-map) order.
-  void SerializeTo(ByteWriter& w) const;
-  [[nodiscard]] bool DeserializeFrom(ByteReader& r);
+  // Checkpoint form (src/sim/archive.h): geometry params, group bitmaps,
+  // then one in-use flag per i-number slot 0..groups*inodes_per_cg with the
+  // inode after each set flag, then the allocator cursors. A group with no
+  // chunk transfers only clear flags, so the bytes are the same as for a
+  // table built in full. Reading rejects an inode table that does not cover
+  // exactly the groups, and an in-use i-number 0.
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(params_, groups_);
+    const std::uint32_t per_cg = params_.inodes_per_cg;
+    std::uint64_t slots = groups_.size() * per_cg + 1;
+    bool zero_in_use = false;
+    ar.Count(slots, 1);
+    ar(zero_in_use);
+    ar.Check(per_cg != 0 && slots != 0 && (slots - 1) % per_cg == 0 &&
+             (slots - 1) / per_cg == groups_.size() && !zero_in_use);
+    if constexpr (Ar::kReading) {
+      inode_chunks_.assign(ar.ok() ? groups_.size() : 0, {});
+    }
+    for (std::vector<Inode>& chunk : inode_chunks_) {
+      for (std::uint32_t slot = 0; slot < per_cg && ar.ok(); ++slot) {
+        bool in_use = !chunk.empty() && chunk[slot].in_use;
+        ar(in_use);
+        if (!in_use) {
+          continue;
+        }
+        if constexpr (Ar::kReading) {
+          if (chunk.empty()) {
+            chunk.resize(per_cg);
+          }
+          chunk[slot].in_use = true;
+        }
+        ar(chunk[slot]);
+      }
+    }
+    ar(root_, free_data_blocks_, creation_counter_, dir_cg_rotor_, log_head_, now_hint_);
+  }
 
   // Rough heap footprint in bytes (snapshot-size accounting; directory
   // payload strings are counted structurally, not byte-exactly).
@@ -180,6 +218,27 @@ class Ffs {
     // Directory payload (metadata only; timing modeled via DirBlocks()).
     std::map<std::string, Inum, std::less<>> children;
     std::vector<std::string> child_order;  // readdir order = creation order
+
+    // Everything but in_use (the table transfers that as a slot flag).
+    // children is re-derived from (name, inum) pairs in child_order order.
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(is_dir, size, atime, mtime, ctime, creation_seq, cg, blocks);
+      std::uint64_t n = child_order.size();
+      ar.Count(n, 9);  // name length + inum
+      for (std::uint64_t i = 0; i < n && ar.ok(); ++i) {
+        if constexpr (Ar::kReading) {
+          child_order.emplace_back();
+        }
+        std::string& name = child_order[i];
+        const auto it = children.find(name);
+        Inum child = it == children.end() ? kInvalidInum : it->second;
+        ar(name, child);
+        if constexpr (Ar::kReading) {
+          children.emplace(name, child);
+        }
+      }
+    }
   };
 
   struct CylGroup {
@@ -191,6 +250,12 @@ class Ffs {
     std::uint64_t free_blocks = 0;
     std::uint32_t free_inodes = 0;
     std::uint64_t rotor = 0;            // next-fit start for kSparse (relative)
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(first_block, data_start, data_end, block_used, inode_used, free_blocks, free_inodes,
+         rotor);
+    }
   };
 
   [[nodiscard]] static std::vector<std::string> SplitPath(std::string_view path);
@@ -200,9 +265,6 @@ class Ffs {
 
   [[nodiscard]] const Inode* Get(Inum inum) const;
   [[nodiscard]] Inode* Get(Inum inum);
-
-  static void WriteInode(ByteWriter& w, const Inode& ino);
-  static void ReadInode(ByteReader& r, Inode* ino);
 
   // Allocates an inode in (preferably) cylinder group `cg_hint`, lowest free
   // slot first (FFS reuses freed inodes lowest-first — key to Fig 6 aging).

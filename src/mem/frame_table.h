@@ -21,6 +21,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -46,6 +47,11 @@ struct FrameHot {
   FrameId dirty_prev = kNoFrame;  // PageCache write-behind chain
   FrameId dirty_next = kNoFrame;
 };
+
+template <typename Ar>
+void Transfer(Ar& ar, FrameHot& h) {
+  ar(h.lru_prev, h.lru_next, h.dirty_prev, h.dirty_next);
+}
 
 // The frame slab. Allocation pops a LIFO free list (or grows the slab while
 // warming up); frame ids stay valid until Release. References into the slab
@@ -153,27 +159,27 @@ class FrameTable {
     free_ = other.free_;
   }
 
-  // --- checkpoint surface -------------------------------------------------
-  // The raw slab arrays, exposed verbatim for durable checkpoints. The free
-  // list's LIFO *order* is part of machine state: Allocate pops the back, so
-  // a reordered free list hands out different FrameIds after restore and
-  // diverges a bit-identical replay.
-  [[nodiscard]] const std::vector<FrameHot>& hot_array() const { return hot_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& touch_array() const { return touch_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& flags_array() const { return flags_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& key1_array() const { return key1_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& key2_array() const { return key2_; }
-  [[nodiscard]] const std::vector<FrameId>& free_list() const { return free_; }
-
-  void RestoreArrays(std::vector<FrameHot> hot, std::vector<std::uint64_t> touch,
-                     std::vector<std::uint8_t> flags, std::vector<std::uint64_t> key1,
-                     std::vector<std::uint64_t> key2, std::vector<FrameId> free_frames) {
-    hot_ = std::move(hot);
-    touch_ = std::move(touch);
-    flags_ = std::move(flags);
-    key1_ = std::move(key1);
-    key2_ = std::move(key2);
-    free_ = std::move(free_frames);
+  // Checkpoint form (src/sim/archive.h): the frame count, the slab column
+  // by column, then the free list. The free list's LIFO *order* is machine
+  // state: Allocate pops the back, so a reordered free list hands out
+  // different FrameIds after restore and diverges a bit-identical replay.
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    std::uint64_t n = hot_.size();
+    ar.Count(n, sizeof(FrameHot) + 8 + 1 + 8 + 8);
+    ar.Check(n < kNoFrame);
+    if constexpr (Ar::kReading) {
+      if (!ar.ok()) {
+        return;
+      }
+      hot_.resize(n);
+      touch_.resize(n);
+      flags_.resize(n);
+      key1_.resize(n);
+      key2_.resize(n);
+    }
+    ar(std::span(hot_), std::span(touch_), std::span(flags_), std::span(key1_),
+       std::span(key2_), free_);
   }
 
  private:
@@ -250,12 +256,11 @@ class IntrusiveFrameList {
     size_ = 0;
   }
 
-  // Checkpoint restore: the links themselves live in the slab arrays and
-  // are restored with them; only the head/tail/size triple is list-local.
-  void RestoreRaw(FrameId head, FrameId tail, std::uint64_t size) {
-    head_ = head;
-    tail_ = tail;
-    size_ = size;
+  // Checkpoint form: the links live in the slab and transfer with it; only
+  // the head/tail/size triple is list-local.
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(head_, tail_, size_);
   }
 
  private:

@@ -49,6 +49,11 @@ struct MemStats {
   friend bool operator==(const MemStats&, const MemStats&) = default;
 };
 
+template <typename Ar>
+void Transfer(Ar& ar, MemStats& s) {
+  ar(s.evictions, s.file_evictions, s.anon_evictions, s.admissions_denied);
+}
+
 // Owner hook for eviction I/O: unmaps the page from its owner and returns
 // the I/O cost of eviction (writeback for dirty file pages, swap-out for
 // anon pages).
@@ -137,21 +142,15 @@ class MemSystem {
     stats_ = other.stats_;
   }
 
-  // --- checkpoint surface (machine_image_io) ------------------------------
+  // The file LRU, oldest first (tests walk it with LruList::Next).
   [[nodiscard]] const LruList& file_lru() const { return file_lru_; }
-  [[nodiscard]] const LruList& anon_lru() const { return anon_lru_; }
-  [[nodiscard]] std::uint64_t touch_seq() const { return touch_seq_; }
 
-  void RestoreLists(const LruList& file, const LruList& anon) {
-    file_lru_ = file;
-    anon_lru_ = anon;
-  }
-  void RestoreCounters(std::uint64_t file_pages, std::uint64_t anon_pages,
-                       std::uint64_t touch_seq, const MemStats& stats) {
-    file_pages_ = file_pages;
-    anon_pages_ = anon_pages;
-    touch_seq_ = touch_seq;
-    stats_ = stats;
+  // Checkpoint form (src/sim/archive.h): the slab, the list heads, the
+  // counters. The config and eviction handler are identity, not state: a
+  // loader builds the MemSystem from the checkpointed config first.
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(frames_, file_lru_, anon_lru_, file_pages_, anon_pages_, touch_seq_, stats_);
   }
 
  private:

@@ -40,6 +40,11 @@ struct NetMessage {
   Nanos sent_at = 0;          // virtual time the send was submitted
 };
 
+template <typename Ar>
+void Transfer(Ar& ar, NetMessage& m) {
+  ar(m.from, m.bytes, m.tag, m.seq, m.sent_at);
+}
+
 class NetDevice : private SimDevice::ServiceModel {
  public:
   // Chaos hooks, installed by the Os while a FaultPlan is armed. The drop
@@ -56,6 +61,11 @@ class NetDevice : private SimDevice::ServiceModel {
     // blocked on (or later handed) a closed endpoint fails ECONNRESET-style
     // instead of waiting for traffic that can never arrive.
     bool closed = false;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(inbox, in_flight, closed);
+    }
   };
 
   NetDevice(const NetSchedule& schedule, SimClock* clock, EventQueue* events);
@@ -149,6 +159,12 @@ class NetDevice : private SimDevice::ServiceModel {
     std::uint64_t red_drops = 0;
     std::uint64_t chaos_drops = 0;
     std::uint64_t reordered = 0;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(link, rng, endpoints, delivery_hist, next_seq, sent, delivered, loss_drops,
+         congestion_drops, red_drops, chaos_drops, reordered);
+    }
   };
 
   [[nodiscard]] State CaptureState() const;

@@ -61,6 +61,13 @@ struct NetSchedule {
   friend bool operator==(const NetSchedule&, const NetSchedule&) = default;
 };
 
+template <typename Ar>
+void Transfer(Ar& ar, NetSchedule& n) {
+  ar(n.latency, n.bytes_per_sec, n.send_overhead, n.drop_prob, n.reorder_prob, n.reorder_delay,
+     n.queue_capacity, n.red, n.red_min_fraction, n.red_max_fraction, n.red_max_prob,
+     n.recv_poll, n.seed);
+}
+
 }  // namespace graysim
 
 #endif  // SRC_NET_NET_SCHEDULE_H_

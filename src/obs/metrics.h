@@ -61,18 +61,16 @@ class Histogram {
 
   void Merge(const Histogram& other);
 
-  // Checkpoint restore: overwrite with raw captured state. `min` is the
-  // value min() reported at capture; an empty histogram re-derives the
-  // all-ones sentinel so a later Record() still tracks the true minimum.
-  void RestoreRaw(const std::uint64_t buckets[kBuckets], std::uint64_t count,
-                  std::uint64_t sum, std::uint64_t min, std::uint64_t max) {
-    for (int i = 0; i < kBuckets; ++i) {
-      buckets_[i] = buckets[i];
+  // Checkpoint form (src/sim/archive.h): buckets, count, sum, min(), max.
+  // An empty histogram writes min() = 0 and re-derives the all-ones
+  // sentinel on load, so a later Record() still tracks the true minimum.
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    std::uint64_t min = this->min();
+    ar(buckets_, count_, sum_, min, max_);
+    if constexpr (Ar::kReading) {
+      min_ = count_ == 0 ? ~std::uint64_t{0} : min;
     }
-    count_ = count;
-    sum_ = sum;
-    min_ = count == 0 ? ~std::uint64_t{0} : min;
-    max_ = max;
   }
 
  private:

@@ -39,6 +39,13 @@ struct ChaosStats {
   friend bool operator==(const ChaosStats&, const ChaosStats&) = default;
 };
 
+template <typename Ar>
+void Transfer(Ar& ar, ChaosStats& s) {
+  ar(s.injected_read_errors, s.injected_stat_errors, s.injected_write_errors, s.short_writes,
+     s.disk_spikes, s.degraded_requests, s.reader_ticks, s.dirtier_ticks, s.antagonist_pages,
+     s.pressure_shocks, s.stalled_allocs, s.injected_net_drops, s.delayed_net_messages);
+}
+
 class ChaosEngine {
  public:
   explicit ChaosEngine(const FaultPlan& plan) : plan_(plan), rng_(plan.seed) {}

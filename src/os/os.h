@@ -70,6 +70,14 @@ struct OsStats {
   friend bool operator==(const OsStats&, const OsStats&) = default;
 };
 
+template <typename Ar>
+void Transfer(Ar& ar, OsStats& s) {
+  ar(s.syscalls, s.batch_syscalls, s.batched_ops, s.cache_hits, s.cache_misses, s.disk_reads,
+     s.disk_writes, s.swap_ins, s.swap_outs, s.readahead_pages, s.writeback_pages,
+     s.daemon_wakeups, s.queued_disk_requests, s.net_sends, s.net_recvs, s.fsyncs,
+     s.syncfs_calls);
+}
+
 // What a crash cost, reported by Os::Recover. Counters are cumulative over
 // the machine's lifetime (a supervisor summing shards wants totals, and a
 // replay pin wants one value to compare); recovery_time is the virtual time
@@ -313,6 +321,11 @@ class Os : private EvictionHandler {
     // Sequential-readahead state.
     std::uint64_t next_seq_offset = 0;
     std::uint32_t ra_window_pages = 0;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(open, disk, inum, offset, next_seq_offset, ra_window_pages);
+    }
   };
 
   struct PathRef {
@@ -326,6 +339,11 @@ class Os : private EvictionHandler {
   struct InflightRead {
     Nanos completion = 0;
     std::uint64_t token = 0;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(completion, token);
+    }
   };
 
   // Splits "/dN/rest" into (N, "/rest"). Returns false on malformed paths.

@@ -123,6 +123,28 @@ struct MachineConfig {
   NetSchedule net;
 };
 
+template <typename Ar>
+void Transfer(Ar& ar, CostModel& c) {
+  ar(c.syscall_overhead, c.copy_mb_per_s, c.mem_touch, c.zero_fill_page, c.page_fault_overhead,
+     c.cpu_scan_mb_per_s, c.cpu_sort_mb_per_s, c.fork_exec);
+}
+
+template <typename Ar>
+void Transfer(Ar& ar, PlatformProfile& p) {
+  ar(p.name);
+  ar.Enum(p.mem_policy, MemPolicy::kStickyFile);
+  ar(p.file_cache_bytes);
+  ar.Enum(p.fs_allocator, AllocatorKind::kLogStructured);
+  ar(p.readahead, p.has_mincore);
+}
+
+template <typename Ar>
+void Transfer(Ar& ar, MachineConfig& c) {
+  ar(c.phys_mem_bytes, c.kernel_reserved_bytes, c.page_size, c.num_disks, c.disk_geometry,
+     c.fs_params, c.costs, c.scheduler_slice, c.timing_jitter, c.jitter_seed, c.event_tie_seed,
+     c.dirty_ratio, c.readahead_min_pages, c.readahead_max_pages, c.chaos, c.net);
+}
+
 }  // namespace graysim
 
 #endif  // SRC_OS_PLATFORM_H_

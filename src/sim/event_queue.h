@@ -67,6 +67,11 @@ struct EventDesc {
   std::array<std::uint64_t, 6> arg{};
 };
 
+template <typename Ar>
+void Transfer(Ar& ar, EventDesc& d) {
+  ar(d.kind, d.dev, d.arg);
+}
+
 class EventQueue {
  public:
   using EventId = std::uint64_t;
@@ -87,6 +92,12 @@ class EventQueue {
     EventId id = 0;
     EventDesc desc;
     Band band = Band::kCompletion;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(when, tie, id, desc);
+      ar.Enum(band, Band::kWake);
+    }
   };
 
   // The queue's own mutable kernel state beyond the pending events: the
@@ -98,6 +109,11 @@ class EventQueue {
     Rng::State tie_rng;
     EventId next_id = 1;
     std::uint64_t scheduled_total = 0;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(tie_rng, next_id, scheduled_total);
+    }
   };
 
   explicit EventQueue(std::uint64_t tie_seed) : tie_rng_(tie_seed) {

@@ -154,6 +154,17 @@ struct FaultPlan {
   }
 };
 
+template <typename Ar>
+void Transfer(Ar& ar, FaultPlan& p) {
+  ar(p.enabled, p.seed, p.read_eio_prob, p.stat_eio_prob, p.write_enospc_prob,
+     p.short_write_prob, p.eio_latency, p.stat_eio_latency, p.degraded_disk, p.degraded_period,
+     p.degraded_duty, p.degraded_scale, p.spike_prob, p.spike_scale, p.jitter_burst_period,
+     p.jitter_burst_duty, p.jitter_burst_amplitude, p.antagonist_period, p.reader_burst_pages,
+     p.dirtier_burst_pages, p.antagonist_disk, p.net_drop_prob, p.net_delay_period,
+     p.net_delay_duty, p.net_delay_scale, p.crash_at, p.shock_period, p.shock_duration,
+     p.shock_mem_fraction, p.shock_alloc_stall);
+}
+
 }  // namespace graysim
 
 #endif  // SRC_SIM_FAULT_PLAN_H_

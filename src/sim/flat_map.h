@@ -160,30 +160,53 @@ class FlatMap {
     size_ = 0;
   }
 
-  // --- checkpoint surface -------------------------------------------------
-  // A durable checkpoint stores the raw slot array, not a logical set of
-  // entries: ForEach order is layout order, layout depends on insertion
-  // history, and a map rebuilt by reinsertion could legally iterate in a
-  // different order — enough to diverge a bit-identical replay.
+  // Raw slot access (tests compare layouts slot by slot).
   [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
   [[nodiscard]] std::uint64_t slot_key(std::size_t i) const { return slots_[i].key; }
   [[nodiscard]] const V& slot_value(std::size_t i) const { return slots_[i].value; }
 
-  // Resets to an empty table of exactly `capacity` slots (0, or a power of
-  // two >= kMinCapacity); follow with RestoreRawSlot for each live slot.
-  void RestoreRawLayout(std::size_t capacity) {
-    assert(capacity == 0 ||
-           (capacity >= kMinCapacity && (capacity & (capacity - 1)) == 0));
-    slots_.assign(capacity, Slot{});
-    mask_ = capacity == 0 ? 0 : capacity - 1;
-    size_ = 0;
-  }
-
-  void RestoreRawSlot(std::size_t i, std::uint64_t key, V value) {
-    slots_[i].key = key;
-    slots_[i].value = std::move(value);
-    if (key != kEmptyKey) {
-      ++size_;
+  // Checkpoint form (src/sim/archive.h): the capacity, the live count, then
+  // (slot index, key, value) per live slot. The exact open-addressing
+  // layout is machine state: ForEach order is layout order, and a map
+  // rebuilt by reinsertion could iterate differently — enough to diverge a
+  // bit-identical replay. Reading rejects a capacity that is not 0 or a
+  // power of two in [kMinCapacity, max_capacity], more live slots than the
+  // 3/4 load factor allows, and slots out of range, repeated, or holding
+  // kEmptyKey. Callers derive max_capacity from the image (see the growth
+  // rule in MaybeGrow/Reserve: a map that never held more than n entries
+  // has at most max(kMinCapacity, 4n) slots).
+  template <typename Ar>
+  void Transfer(Ar& ar, std::uint64_t max_capacity) {
+    std::uint64_t cap = slots_.size();
+    std::uint64_t live = size_;
+    ar(cap);
+    ar.Count(live, 17);  // index + key + at least one value byte
+    if constexpr (Ar::kReading) {
+      ar.Check(cap == 0 || (cap >= kMinCapacity && cap <= max_capacity &&
+                            (cap & (cap - 1)) == 0));
+      ar.Check(live <= cap - cap / 4);
+      if (!ar.ok()) {
+        return;
+      }
+      slots_.assign(cap, Slot{});
+      mask_ = cap == 0 ? 0 : cap - 1;
+      size_ = 0;
+      for (; size_ < live && ar.ok(); ++size_) {
+        std::uint64_t index = 0;
+        std::uint64_t key = 0;
+        ar(index, key);
+        ar.Check(index < cap && key != kEmptyKey && slots_[index].key == kEmptyKey);
+        if (ar.ok()) {
+          slots_[index].key = key;
+          ar(slots_[index].value);
+        }
+      }
+    } else {
+      for (std::uint64_t i = 0; i < cap; ++i) {
+        if (slots_[i].key != kEmptyKey) {
+          ar(i, slots_[i].key, slots_[i].value);
+        }
+      }
     }
   }
 

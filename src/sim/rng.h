@@ -29,6 +29,11 @@ class Rng {
   struct State {
     std::uint64_t s0 = 0;
     std::uint64_t s1 = 0;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(s0, s1);
+    }
   };
 
   explicit Rng(std::uint64_t seed) {

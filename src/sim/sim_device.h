@@ -123,6 +123,12 @@ class SimDevice {
     std::uint64_t max_depth = 0;
     std::uint64_t total_requests = 0;
     std::uint64_t coalesced_requests = 0;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(service_hist, busy_until, tail_end_offset, tail_is_write, depth, max_depth,
+         total_requests, coalesced_requests);
+    }
   };
 
   [[nodiscard]] State CaptureState() const {

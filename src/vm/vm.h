@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/mem/mem_system.h"
-#include "src/sim/byte_io.h"
 #include "src/sim/clock.h"
 
 namespace graysim {
@@ -93,12 +92,14 @@ class Vm {
     return bytes;
   }
 
-  // Durable checkpoint serialization (machine_image_io). PTEs are written as
-  // their raw packed 64-bit form; the frame ids inside refer into the
-  // MemSystem slab serialized alongside. The mru_area hint is derived state
-  // and is not written.
-  void SerializeTo(ByteWriter& w) const;
-  [[nodiscard]] bool DeserializeFrom(ByteReader& r);
+  // Checkpoint form (src/sim/archive.h). PTEs travel as their raw packed
+  // 64-bit form; the frame ids inside refer into the MemSystem slab
+  // checkpointed alongside. The mru_area hint is derived state and is not
+  // written.
+  template <typename Ar>
+  void Transfer(Ar& ar) {
+    ar(spaces_, next_area_, next_swap_slot_, free_swap_slots_);
+  }
 
  private:
   enum class PteState : std::uint8_t { kUnmapped, kResident, kSwapped };
@@ -124,8 +125,10 @@ class Vm {
     }
 
     // Checkpoint form: the packed word itself (state/slot/frame in one).
-    [[nodiscard]] std::uint64_t raw() const { return bits_; }
-    void set_raw(std::uint64_t bits) { bits_ = bits; }
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(bits_);
+    }
 
    private:
     static constexpr std::uint64_t kSlotMask = (1ULL << 30) - 1;
@@ -136,6 +139,11 @@ class Vm {
     VmAreaId id = 0;
     std::uint64_t base_vpage = 0;
     std::uint64_t pages = 0;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(id, base_vpage, pages);
+    }
   };
 
   struct ProcessSpace {
@@ -148,6 +156,11 @@ class Vm {
     // after Free just falls back to the scan. Derived state: not
     // snapshotted, never affects results.
     std::size_t mru_area = 0;
+
+    template <typename Ar>
+    void Transfer(Ar& ar) {
+      ar(next_vpage, areas, table);
+    }
   };
 
   // Grows the space vector on first touch of a pid (matching the previous

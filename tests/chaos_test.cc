@@ -1,7 +1,7 @@
 // Chaos-layer tests: a FaultPlan is a seeded, replayable schedule, not a
-// fuzzer. The same plan against the same workload must produce bit-identical
-// virtual time, OsStats, AND injected-fault counters on every platform
-// profile; arming and disarming must be clean (no pseudo pages left behind,
+// fuzzer. The same plan against the same workload must end in bit-identical
+// machines — every checkpointed byte, injected-fault counters and the
+// chaos RNG included — on every platform profile; arming and disarming must be clean (no pseudo pages left behind,
 // no faults after disarm); and the antagonist/shock machinery must survive
 // a high-intensity stress mix (the ASan job leans on this test).
 
@@ -13,7 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "src/os/os.h"
+#include "src/os/machine.h"
+#include "tests/same_state.h"
 
 namespace graysim {
 namespace {
@@ -32,23 +33,19 @@ void MakeFile(Os& os, Pid pid, const std::string& path, std::uint64_t bytes) {
   ASSERT_EQ(os.Close(pid, fd), 0);
 }
 
-struct Snapshot {
-  Nanos virtual_time = 0;
-  OsStats stats;
-  ChaosStats chaos;
-
-  friend bool operator==(const Snapshot&, const Snapshot&) = default;
-};
-
 // A fault-tolerant mixed workload: every syscall result is accepted (under
 // chaos, reads fail with EIO, writes with ENOSPC or short counts), so the
-// only invariants left are the deterministic ones the Snapshot captures.
-Snapshot RunChaosWorkload(const PlatformProfile& profile, const FaultPlan& plan,
-                          int nprocs) {
+// only invariants left are the deterministic ones: the machine's image at
+// the end of the run.
+MachineImage RunChaosWorkload(const PlatformProfile& profile, const FaultPlan& plan,
+                              int nprocs) {
   MachineConfig cfg;
   cfg.phys_mem_bytes = 160 * kMb;
   cfg.kernel_reserved_bytes = 32 * kMb;  // 128 MB usable: real pressure
-  Os os(profile, cfg);
+  // Config-seeded Machine: bit-identical to a bare Os(profile, cfg) (pinned
+  // by FleetSeeding.ConfigSeededMachineMatchesBareOs).
+  Machine machine(profile, cfg);
+  Os& os = machine.os();
   const Pid setup = os.default_pid();
   for (int d = 0; d < 2; ++d) {
     MakeFile(os, setup, "/d" + std::to_string(d) + "/input", 24 * kMb);
@@ -91,12 +88,7 @@ Snapshot RunChaosWorkload(const PlatformProfile& profile, const FaultPlan& plan,
     });
   }
   os.RunProcesses(bodies);
-
-  Snapshot snap;
-  snap.virtual_time = os.Now();
-  snap.stats = os.stats();
-  snap.chaos = os.chaos_stats();
-  return snap;
+  return machine.Snapshot();
 }
 
 class ChaosDeterminismTest : public ::testing::TestWithParam<const char*> {
@@ -115,26 +107,25 @@ class ChaosDeterminismTest : public ::testing::TestWithParam<const char*> {
 TEST_P(ChaosDeterminismTest, SameSeedIsBitIdentical) {
   const PlatformProfile profile = ProfileFor(GetParam());
   const FaultPlan plan = FaultPlan::Interference(0.5);
-  const Snapshot a = RunChaosWorkload(profile, plan, 6);
-  const Snapshot b = RunChaosWorkload(profile, plan, 6);
-  EXPECT_EQ(a.virtual_time, b.virtual_time);
-  EXPECT_TRUE(a.stats == b.stats);
-  EXPECT_TRUE(a.chaos == b.chaos);
+  const MachineImage a = RunChaosWorkload(profile, plan, 6);
+  const MachineImage b = RunChaosWorkload(profile, plan, 6);
+  EXPECT_PRED_FORMAT2(SameState, StateDigest(a), StateDigest(b));
   // The plan actually did something: faults and interference were injected.
-  EXPECT_GT(a.chaos.injected_read_errors + a.chaos.injected_write_errors +
-                a.chaos.injected_stat_errors + a.chaos.short_writes,
+  const ChaosStats& chaos = a.os.chaos_stats;
+  EXPECT_GT(chaos.injected_read_errors + chaos.injected_write_errors +
+                chaos.injected_stat_errors + chaos.short_writes,
             0u);
-  EXPECT_GT(a.chaos.degraded_requests, 0u);
-  EXPECT_GT(a.chaos.reader_ticks + a.chaos.dirtier_ticks, 0u);
+  EXPECT_GT(chaos.degraded_requests, 0u);
+  EXPECT_GT(chaos.reader_ticks + chaos.dirtier_ticks, 0u);
 }
 
 TEST_P(ChaosDeterminismTest, DifferentSeedsDiverge) {
   const PlatformProfile profile = ProfileFor(GetParam());
-  const Snapshot a = RunChaosWorkload(profile, FaultPlan::Interference(0.5, 1), 6);
-  const Snapshot b = RunChaosWorkload(profile, FaultPlan::Interference(0.5, 2), 6);
+  const MachineImage a = RunChaosWorkload(profile, FaultPlan::Interference(0.5, 1), 6);
+  const MachineImage b = RunChaosWorkload(profile, FaultPlan::Interference(0.5, 2), 6);
   // Not a bit-for-bit requirement in reverse, but two different fault
   // schedules agreeing on every counter would mean the seed is ignored.
-  EXPECT_FALSE(a.chaos == b.chaos);
+  EXPECT_FALSE(a.os.chaos_stats == b.os.chaos_stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(Platforms, ChaosDeterminismTest,
@@ -146,10 +137,10 @@ TEST(ChaosTest, DisabledPlanIsExactlyTheCleanMachine) {
   // counter after the same workload.
   const FaultPlan off = FaultPlan::Interference(0.0);
   EXPECT_FALSE(off.enabled);
-  const Snapshot a = RunChaosWorkload(PlatformProfile::Linux22(), off, 4);
-  const Snapshot b = RunChaosWorkload(PlatformProfile::Linux22(), FaultPlan{}, 4);
-  EXPECT_TRUE(a == b);
-  EXPECT_TRUE(a.chaos == ChaosStats{});
+  const MachineImage a = RunChaosWorkload(PlatformProfile::Linux22(), off, 4);
+  const MachineImage b = RunChaosWorkload(PlatformProfile::Linux22(), FaultPlan{}, 4);
+  EXPECT_PRED_FORMAT2(SameState, StateDigest(a), StateDigest(b));
+  EXPECT_TRUE(a.os.chaos_stats == ChaosStats{});
 }
 
 TEST(ChaosTest, ArmViaMachineConfig) {
@@ -227,13 +218,11 @@ TEST(ChaosTest, RearmResetsTheSchedule) {
 // reclaim; ASan checks the event closures and page bookkeeping.
 TEST(ChaosStressTest, AntagonistsSurviveHighIntensity) {
   const FaultPlan plan = FaultPlan::Interference(1.0);
-  const Snapshot a = RunChaosWorkload(PlatformProfile::Linux22(), plan, 12);
-  const Snapshot b = RunChaosWorkload(PlatformProfile::Linux22(), plan, 12);
-  EXPECT_EQ(a.virtual_time, b.virtual_time);
-  EXPECT_TRUE(a.stats == b.stats);
-  EXPECT_TRUE(a.chaos == b.chaos);
-  EXPECT_GT(a.chaos.antagonist_pages, 0u);
-  EXPECT_GT(a.chaos.pressure_shocks, 0u);
+  const MachineImage a = RunChaosWorkload(PlatformProfile::Linux22(), plan, 12);
+  const MachineImage b = RunChaosWorkload(PlatformProfile::Linux22(), plan, 12);
+  EXPECT_PRED_FORMAT2(SameState, StateDigest(a), StateDigest(b));
+  EXPECT_GT(a.os.chaos_stats.antagonist_pages, 0u);
+  EXPECT_GT(a.os.chaos_stats.pressure_shocks, 0u);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 // NetRecv on a crashed endpoint fails ECONNRESET-style instead of hanging;
 // and checkpoints written by machine_image_io survive a disk round trip
 // bit-identically while every corrupted variant (truncated, bit-flipped,
-// wrong version, wrong magic) is rejected with no partial restore.
+// wrong version, wrong magic, a directory path, sections crafted with a
+// recomputed CRC) is rejected with no partial restore.
 // Labeled `crash`: CI runs this suite under ASan+UBSan.
 #include <cstdint>
 #include <fstream>
@@ -21,7 +22,9 @@
 #include "src/fs/ffs.h"
 #include "src/os/machine.h"
 #include "src/os/machine_image_io.h"
+#include "src/sim/byte_io.h"
 #include "src/workloads/filegen.h"
+#include "tests/same_state.h"
 
 namespace graysim {
 namespace {
@@ -43,22 +46,17 @@ void WarmDirty(Os& os) {
   ASSERT_EQ(os.Close(pid, fd), 0);
 }
 
-struct Fingerprint {
-  Nanos now = 0;
-  OsStats stats;
-  RecoveryStats recovery;
-
-  friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
-};
-
-Fingerprint FingerprintOf(const Machine& m) {
-  return Fingerprint{m.Now(), m.os().stats(), m.os().recovery_stats()};
+// Replay check after a crash: every byte a checkpoint carries, plus the
+// recovery stats, which an image does not carry.
+void ExpectSameAfterCrash(const Machine& a, const Machine& b) {
+  EXPECT_PRED_FORMAT2(SameState, StateOf(a), StateOf(b));
+  EXPECT_TRUE(a.os().recovery_stats() == b.os().recovery_stats());
 }
 
 // Crash one machine mid-run, recover it, run a post-restart workload.
-// Everything is a pure function of the seed, so two calls must produce
-// bit-identical fingerprints.
-Fingerprint CrashRecoverContinue(Machine& machine) {
+// Everything is a pure function of the seed, so two calls must leave
+// bit-identical machines.
+void CrashRecoverContinue(Machine& machine) {
   Os& os = machine.os();
   WarmDirty(os);
   FaultPlan plan = FaultPlan::Interference(0.5);
@@ -94,16 +92,15 @@ Fingerprint CrashRecoverContinue(Machine& machine) {
     (void)os.Fsync(pid, fd);
     (void)os.Close(pid, fd);
   }});
-  return FingerprintOf(machine);
 }
 
 TEST(CrashTest, CrashRecoveryReplaysBitIdentically) {
   Machine a(PlatformProfile::Linux22());
   Machine b(PlatformProfile::Linux22());
-  const Fingerprint fa = CrashRecoverContinue(a);
-  const Fingerprint fb = CrashRecoverContinue(b);
-  EXPECT_EQ(fa, fb);
-  EXPECT_GT(fa.recovery.lost_dirty_pages, 0u);
+  CrashRecoverContinue(a);
+  CrashRecoverContinue(b);
+  ExpectSameAfterCrash(a, b);
+  EXPECT_GT(a.os().recovery_stats().lost_dirty_pages, 0u);
 }
 
 TEST(CrashTest, CrashUnwindsEveryFiber) {
@@ -243,6 +240,45 @@ void WriteAll(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+std::uint64_t LoadLe(const std::vector<std::uint8_t>& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+  }
+  return v;
+}
+
+void StoreLe(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// Rewrites section `tag` of a checkpoint file (1 = identity ... 9 = chaos)
+// with `edit` and recomputes its length and CRC: a crafted file that passes
+// every framing check, so only the section's own parser can reject it.
+std::vector<char> EditSection(const std::vector<char>& file, std::uint32_t tag,
+                              const std::function<void(std::vector<std::uint8_t>&)>& edit) {
+  const std::vector<std::uint8_t> in(file.begin(), file.end());
+  std::vector<std::uint8_t> out(in.begin(), in.begin() + 16);  // magic, version, count
+  for (std::size_t pos = 16; pos < in.size();) {
+    const auto t = static_cast<std::uint32_t>(LoadLe(in, pos, 4));
+    const std::size_t len = LoadLe(in, pos + 4, 8);
+    std::vector<std::uint8_t> body(in.begin() + pos + 16, in.begin() + pos + 16 + len);
+    if (t == tag) {
+      edit(body);
+    }
+    std::vector<std::uint8_t> frame(16);
+    StoreLe(frame, 0, t, 4);
+    StoreLe(frame, 4, body.size(), 8);
+    StoreLe(frame, 12, Crc32(body.data(), body.size()), 4);
+    out.insert(out.end(), frame.begin(), frame.end());
+    out.insert(out.end(), body.begin(), body.end());
+    pos += 16 + len;
+  }
+  return std::vector<char>(out.begin(), out.end());
+}
+
 // A machine whose image exercises every section: warm cache, dirty pages,
 // pending net deliveries, armed chaos with a pending kCrash event.
 std::unique_ptr<Machine> CheckpointableMachine() {
@@ -285,7 +321,7 @@ TEST(CrashTest, CheckpointRoundTripsThroughDiskBitIdentically) {
   const std::unique_ptr<Machine> fork = Machine::Fork(loaded);
   ASSERT_EQ(fork->Now(), original->Now());
   // Both run until the checkpointed crash_at fires, recover, continue:
-  // virtual times, stats, and recovery costs must match exactly.
+  // machine state and recovery costs must match exactly.
   auto drive = [](Machine& m) {
     Os& os = m.os();
     m.RunProcesses({[&os](Pid pid) {
@@ -300,12 +336,11 @@ TEST(CrashTest, CheckpointRoundTripsThroughDiskBitIdentically) {
     }});
     EXPECT_TRUE(os.crashed()) << "workload outran the checkpointed crash_at";
     (void)os.Recover();
-    return Fingerprint{m.Now(), os.stats(), os.recovery_stats()};
   };
-  const Fingerprint forked = drive(*fork);
-  const Fingerprint orig = drive(*original);
-  EXPECT_EQ(forked, orig);
-  EXPECT_EQ(forked.recovery.crashes, 1u);
+  drive(*fork);
+  drive(*original);
+  ExpectSameAfterCrash(*fork, *original);
+  EXPECT_EQ(fork->os().recovery_stats().crashes, 1u);
 }
 
 TEST(CrashTest, CorruptCheckpointsAreRejectedWithoutPartialRestore) {
@@ -342,10 +377,77 @@ TEST(CrashTest, CorruptCheckpointsAreRejectedWithoutPartialRestore) {
     cases.push_back(std::move(magic));
   }
 
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    const std::string bad_path = TempPath("corrupt_case.gsim");
-    WriteAll(bad_path, c.bytes);
+  // Crafted sections with valid CRCs. Config payload: profile name (u64
+  // length + bytes), mem_policy u8, file_cache_bytes u64, fs_allocator u8,
+  // readahead bool, has_mincore bool, then phys_mem_bytes u64.
+  const auto profile_field = [](const std::vector<std::uint8_t>& config, std::size_t offset) {
+    return 8 + LoadLe(config, 0, 8) + offset;
+  };
+  constexpr std::uint32_t kConfig = 2;
+  constexpr std::uint32_t kFilesystems = 4;
+  constexpr std::uint32_t kMemory = 7;
+  constexpr std::uint32_t kTables = 8;
+  cases.push_back({"mem_policy past the last enumerator",
+                   EditSection(good, kConfig, [&](std::vector<std::uint8_t>& b) {
+                     b[profile_field(b, 0)] = 9;
+                   })});
+  cases.push_back({"profile allocator past the last enumerator",
+                   EditSection(good, kConfig, [&](std::vector<std::uint8_t>& b) {
+                     b[profile_field(b, 9)] = 3;
+                   })});
+  cases.push_back({"bool byte 2", EditSection(good, kConfig, [&](std::vector<std::uint8_t>& b) {
+                     b[profile_field(b, 10)] = 2;
+                   })});
+  cases.push_back({"phys_mem_bytes raised by 2^50",
+                   EditSection(good, kConfig, [&](std::vector<std::uint8_t>& b) {
+                     const std::size_t at = profile_field(b, 12);
+                     StoreLe(b, at, LoadLe(b, at, 8) + (1ULL << 50), 8);
+                   })});
+  // Filesystems payload: u64 count, then the first Ffs: params (u32, u64,
+  // u64, u32, u32, allocator u8, u32), u64 group count, and group 0's
+  // first_block/data_start/data_end before its block bitmap's bit count.
+  cases.push_back({"file system allocator past the last enumerator",
+                   EditSection(good, kFilesystems, [](std::vector<std::uint8_t>& b) {
+                     b[8 + 28] = 3;
+                   })});
+  cases.push_back({"bitmap bit count near 2^64",
+                   EditSection(good, kFilesystems, [](std::vector<std::uint8_t>& b) {
+                     StoreLe(b, 8 + 33 + 8 + 24, ~std::uint64_t{0}, 8);
+                   })});
+  // Memory payload: u64 frame count n, 41 bytes per frame, the free list
+  // (u64 count + u32 each), two list heads (32), three counters (24) and
+  // MemStats (32), then the page map's capacity. A real map has at most
+  // max(16, 4 x frames) slots; the next power of two above that is too big.
+  const MachineConfig& config = machine->config();
+  const std::uint64_t frames =
+      (config.phys_mem_bytes - config.kernel_reserved_bytes) / config.page_size;
+  std::uint64_t oversized = 16;
+  while (oversized <= 4 * frames) {
+    oversized *= 2;
+  }
+  cases.push_back({"page map capacity above 4 x frames",
+                   EditSection(good, kMemory, [&](std::vector<std::uint8_t>& b) {
+                     std::size_t at = 8 + 41 * LoadLe(b, 0, 8);
+                     at += 8 + 4 * LoadLe(b, at, 8) + 32 + 24 + 32;
+                     StoreLe(b, at, oversized, 8);
+                   })});
+  // Tables payload: the fd tables (u64 count; per table a u64 count and 33
+  // bytes per entry), then the in-flight map (capacity, live count, 32
+  // bytes per live slot), replaced here by an empty 8-slot map.
+  cases.push_back({"map capacity below the minimum",
+                   EditSection(good, kTables, [](std::vector<std::uint8_t>& b) {
+                     std::size_t at = 8;
+                     for (std::uint64_t t = LoadLe(b, 0, 8); t > 0; --t) {
+                       at += 8 + 33 * LoadLe(b, at, 8);
+                     }
+                     const std::size_t end = at + 16 + 32 * LoadLe(b, at + 8, 8);
+                     std::vector<std::uint8_t> empty(16);
+                     StoreLe(empty, 0, 8, 8);
+                     b.erase(b.begin() + at, b.begin() + end);
+                     b.insert(b.begin() + at, empty.begin(), empty.end());
+                   })});
+
+  const auto expect_rejected = [](const std::string& bad_path) {
     MachineImage out;
     out.id = 777;  // sentinel: a failed load must leave *out untouched
     std::string why;
@@ -353,6 +455,16 @@ TEST(CrashTest, CorruptCheckpointsAreRejectedWithoutPartialRestore) {
     EXPECT_FALSE(why.empty());
     EXPECT_EQ(out.id, 777u);
     EXPECT_EQ(out.os.mem, nullptr);
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string bad_path = TempPath("corrupt_case.gsim");
+    WriteAll(bad_path, c.bytes);
+    expect_rejected(bad_path);
+  }
+  {
+    SCOPED_TRACE("a directory");
+    expect_rejected(::testing::TempDir());
   }
 
   // The pristine file still loads — corruption detection, not flakiness.

@@ -1,8 +1,8 @@
 // The simulation must be a deterministic function of its seeds: repeated
-// runs of the same workload produce bit-identical final virtual time and
-// OsStats (including the event-kernel counters: daemon wakeups, queued
-// disk requests, per-disk max queue depth) on every platform profile and
-// under a 32-process stress mix.
+// runs of the same workload end in bit-identical machines — every byte a
+// checkpoint carries, from the virtual clock and OsStats to the event
+// kernel, device queues, caches and page tables — on every platform
+// profile and under a 32-process stress mix.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "src/os/os.h"
+#include "src/os/machine.h"
+#include "tests/same_state.h"
 
 namespace graysim {
 namespace {
@@ -30,23 +31,18 @@ void MakeFile(Os& os, Pid pid, const std::string& path, std::uint64_t bytes) {
   ASSERT_EQ(os.Close(pid, fd), 0);
 }
 
-struct Snapshot {
-  Nanos virtual_time = 0;
-  OsStats stats;
-  std::vector<std::uint64_t> max_queue_depths;
-  std::vector<std::uint64_t> queue_totals;
-
-  friend bool operator==(const Snapshot&, const Snapshot&) = default;
-};
-
 // A mixed workload exercising every event source: demand reads with
 // readahead, dirty writes (flush daemon), memory pressure (page daemon and
-// direct reclaim), sleeps, and cross-process interleaving.
-Snapshot RunWorkload(const PlatformProfile& profile, int nprocs) {
+// direct reclaim), sleeps, and cross-process interleaving. Returns the
+// machine's image at the end of the run.
+MachineImage RunWorkload(const PlatformProfile& profile, int nprocs) {
   MachineConfig cfg;
   cfg.phys_mem_bytes = 160 * kMb;
   cfg.kernel_reserved_bytes = 32 * kMb;  // 128 MB usable: real pressure
-  Os os(profile, cfg);
+  // Config-seeded Machine: bit-identical to a bare Os(profile, cfg) (pinned
+  // by FleetSeeding.ConfigSeededMachineMatchesBareOs).
+  Machine machine(profile, cfg);
+  Os& os = machine.os();
   const Pid setup = os.default_pid();
   for (int d = 0; d < 2; ++d) {
     MakeFile(os, setup, "/d" + std::to_string(d) + "/input", 24 * kMb);
@@ -91,15 +87,7 @@ Snapshot RunWorkload(const PlatformProfile& profile, int nprocs) {
     });
   }
   os.RunProcesses(bodies);
-
-  Snapshot snap;
-  snap.virtual_time = os.Now();
-  snap.stats = os.stats();
-  for (int d = 0; d < os.num_disks(); ++d) {
-    snap.max_queue_depths.push_back(os.MaxDiskQueueDepth(d));
-    snap.queue_totals.push_back(os.disk_queue(d).total_requests());
-  }
-  return snap;
+  return machine.Snapshot();
 }
 
 class DeterminismTest : public ::testing::TestWithParam<const char*> {
@@ -117,22 +105,19 @@ class DeterminismTest : public ::testing::TestWithParam<const char*> {
 
 TEST_P(DeterminismTest, RepeatedRunsAreBitIdentical) {
   const PlatformProfile profile = ProfileFor(GetParam());
-  const Snapshot a = RunWorkload(profile, 6);
-  const Snapshot b = RunWorkload(profile, 6);
-  EXPECT_EQ(a.virtual_time, b.virtual_time);
-  EXPECT_TRUE(a.stats == b.stats);
-  EXPECT_EQ(a.max_queue_depths, b.max_queue_depths);
-  EXPECT_EQ(a.queue_totals, b.queue_totals);
-  EXPECT_GT(a.virtual_time, 0u);
+  const MachineImage a = RunWorkload(profile, 6);
+  const MachineImage b = RunWorkload(profile, 6);
+  EXPECT_PRED_FORMAT2(SameState, StateDigest(a), StateDigest(b));
+  EXPECT_GT(a.os.now, 0);
 }
 
 TEST_P(DeterminismTest, EventKernelCountersAreExercised) {
-  const Snapshot s = RunWorkload(ProfileFor(GetParam()), 6);
-  EXPECT_GT(s.stats.queued_disk_requests, 0u);
+  const MachineImage s = RunWorkload(ProfileFor(GetParam()), 6);
+  EXPECT_GT(s.os.os_stats.queued_disk_requests, 0u);
   // Some disk saw overlapping requests (the whole point of real queues).
   std::uint64_t deepest = 0;
-  for (const std::uint64_t d : s.max_queue_depths) {
-    deepest = std::max(deepest, d);
+  for (const SimDevice::State& d : s.os.disk_devices) {
+    deepest = std::max(deepest, d.max_depth);
   }
   EXPECT_GT(deepest, 1u);
 }
@@ -141,13 +126,10 @@ INSTANTIATE_TEST_SUITE_P(Platforms, DeterminismTest,
                          ::testing::Values("linux2.2", "netbsd1.5", "solaris7"));
 
 TEST(DeterminismStressTest, ThirtyTwoProcessesBitIdentical) {
-  const Snapshot a = RunWorkload(PlatformProfile::Linux22(), 32);
-  const Snapshot b = RunWorkload(PlatformProfile::Linux22(), 32);
-  EXPECT_EQ(a.virtual_time, b.virtual_time);
-  EXPECT_TRUE(a.stats == b.stats);
-  EXPECT_EQ(a.max_queue_depths, b.max_queue_depths);
-  EXPECT_EQ(a.queue_totals, b.queue_totals);
-  EXPECT_GT(a.stats.daemon_wakeups, 0u) << "stress mix should wake the daemons";
+  const MachineImage a = RunWorkload(PlatformProfile::Linux22(), 32);
+  const MachineImage b = RunWorkload(PlatformProfile::Linux22(), 32);
+  EXPECT_PRED_FORMAT2(SameState, StateDigest(a), StateDigest(b));
+  EXPECT_GT(a.os.os_stats.daemon_wakeups, 0u) << "stress mix should wake the daemons";
 }
 
 }  // namespace

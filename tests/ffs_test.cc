@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/archive.h"
+
 namespace graysim {
 namespace {
 
@@ -377,9 +379,9 @@ std::vector<Inum> Age(Ffs& fs) {
 }
 
 std::vector<std::uint8_t> Serialized(const Ffs& fs) {
-  ByteWriter w;
-  fs.SerializeTo(w);
-  return w.Take();
+  WriteArchive ar;
+  ar(fs);
+  return ar.Take();
 }
 
 TEST(FfsSparseTest, AgedImageBytesAndInumOrderMatchTheFullTable) {
@@ -406,9 +408,9 @@ TEST(FfsSparseTest, LoadedImageReserializesIdentically) {
   (void)Age(fs);
   const std::vector<std::uint8_t> bytes = Serialized(fs);
   Ffs loaded = MakeFs();
-  ByteReader r(bytes.data(), bytes.size());
-  ASSERT_TRUE(loaded.DeserializeFrom(r));
-  EXPECT_EQ(r.remaining(), 0u);
+  ReadArchive ar(bytes.data(), bytes.size());
+  ar(loaded);
+  ASSERT_TRUE(ar.Done());
   EXPECT_EQ(Serialized(loaded), bytes);
   // Both continue identically: the next i-numbers come from the bitmaps.
   for (int i = 0; i < 20; ++i) {
@@ -439,8 +441,9 @@ TEST(FfsSparseTest, InodeTableMustCoverExactlyTheGroups) {
       corrupt[offset + i] = static_cast<std::uint8_t>(bad >> (8 * i));
     }
     Ffs loaded = MakeFs();
-    ByteReader r(corrupt.data(), corrupt.size());
-    EXPECT_FALSE(loaded.DeserializeFrom(r)) << "slot count " << bad;
+    ReadArchive ar(corrupt.data(), corrupt.size());
+    ar(loaded);
+    EXPECT_FALSE(ar.ok()) << "slot count " << bad;
   }
 }
 

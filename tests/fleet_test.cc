@@ -24,6 +24,7 @@
 #include "src/os/machine.h"
 #include "src/os/os.h"
 #include "src/sim/fault_plan.h"
+#include "tests/same_state.h"
 
 namespace graysim {
 namespace {
@@ -51,35 +52,6 @@ MachineConfig SmallConfig(bool with_chaos) {
   }
   return cfg;
 }
-
-// Everything a machine's run can deterministically disagree on.
-struct Snapshot {
-  Nanos virtual_time = 0;
-  OsStats stats;
-  MemStats mem;
-  ChaosStats chaos;
-  std::uint64_t events_scheduled = 0;
-  std::uint64_t cache_pages = 0;
-  std::vector<std::uint64_t> queue_totals;
-
-  friend bool operator==(const Snapshot&, const Snapshot&) = default;
-};
-
-Snapshot Snap(const Os& os) {
-  Snapshot s;
-  s.virtual_time = os.Now();
-  s.stats = os.stats();
-  s.mem = os.mem_stats();
-  s.chaos = os.chaos_stats();
-  s.events_scheduled = os.events_scheduled();
-  s.cache_pages = os.FileCachePages();
-  for (int d = 0; d < os.num_disks(); ++d) {
-    s.queue_totals.push_back(os.disk_queue(d).total_requests());
-  }
-  return s;
-}
-
-Snapshot Snap(const Machine& m) { return Snap(m.os()); }
 
 void MakeFile(Os& os, Pid pid, const std::string& path, std::uint64_t bytes) {
   const int fd = os.Creat(pid, path);
@@ -144,14 +116,16 @@ void RunStep(Os& os, int step) {
 
 void RunStep(Machine& m, int step) { RunStep(m.os(), step); }
 
-Snapshot RunWholeMachine(const PlatformProfile& profile, const MachineConfig& cfg,
-                         std::uint32_t id, std::uint64_t seed) {
+// The machine's whole checkpointable state after its run: everything two
+// runs can deterministically disagree on.
+MachineImage RunWholeMachine(const PlatformProfile& profile, const MachineConfig& cfg,
+                             std::uint32_t id, std::uint64_t seed) {
   Machine m(profile, cfg, id, seed);
   SetupMachine(m);
   for (int step = 0; step < kSteps; ++step) {
     RunStep(m, step);
   }
-  return Snap(m);
+  return m.Snapshot();
 }
 
 // ---- (a) interleaved on one thread == each alone ----
@@ -160,9 +134,9 @@ TEST(FleetIsolation, InterleavedMachinesMatchSoloRuns) {
   const PlatformProfile profile = PlatformProfile::Linux22();
   const MachineConfig cfg = SmallConfig(/*with_chaos=*/true);
 
-  const Snapshot solo_a = RunWholeMachine(profile, cfg, /*id=*/0, kFleetSeed);
-  const Snapshot solo_b = RunWholeMachine(profile, cfg, /*id=*/1, kFleetSeed);
-  ASSERT_FALSE(solo_a == solo_b) << "distinct machine ids should not coincide";
+  const ImageDigest solo_a = StateDigest(RunWholeMachine(profile, cfg, /*id=*/0, kFleetSeed));
+  const ImageDigest solo_b = StateDigest(RunWholeMachine(profile, cfg, /*id=*/1, kFleetSeed));
+  ASSERT_NE(solo_a, solo_b) << "distinct machine ids should not coincide";
 
   // Same two machines, advanced alternately in slices on this one thread.
   Machine a(profile, cfg, /*id=*/0, kFleetSeed);
@@ -173,8 +147,10 @@ TEST(FleetIsolation, InterleavedMachinesMatchSoloRuns) {
     RunStep(a, step);
     RunStep(b, step);
   }
-  EXPECT_TRUE(Snap(a) == solo_a) << "machine A perturbed by interleaving with B";
-  EXPECT_TRUE(Snap(b) == solo_b) << "machine B perturbed by interleaving with A";
+  EXPECT_PRED_FORMAT2(SameState, StateOf(a), solo_a)
+      << "machine A perturbed by interleaving with B";
+  EXPECT_PRED_FORMAT2(SameState, StateOf(b), solo_b)
+      << "machine B perturbed by interleaving with A";
 }
 
 // ---- (b) K threads == sequential, all profiles ----
@@ -186,13 +162,13 @@ TEST_P(FleetThreadingTest, ThreadedFleetMatchesSequential) {
   const MachineConfig cfg = SmallConfig(/*with_chaos=*/true);
   constexpr int kMachines = 4;
 
-  std::vector<Snapshot> sequential(kMachines);
+  std::vector<MachineImage> sequential(kMachines);
   for (int i = 0; i < kMachines; ++i) {
     sequential[i] =
         RunWholeMachine(profile, cfg, static_cast<std::uint32_t>(i), kFleetSeed);
   }
 
-  std::vector<Snapshot> threaded(kMachines);
+  std::vector<MachineImage> threaded(kMachines);
   std::vector<std::thread> threads;
   threads.reserve(kMachines);
   for (int i = 0; i < kMachines; ++i) {
@@ -206,10 +182,10 @@ TEST_P(FleetThreadingTest, ThreadedFleetMatchesSequential) {
   }
 
   for (int i = 0; i < kMachines; ++i) {
-    EXPECT_TRUE(threaded[i] == sequential[i])
+    EXPECT_PRED_FORMAT2(SameState, StateDigest(threaded[i]), StateDigest(sequential[i]))
         << "machine " << i << " on " << profile.name
         << " diverged between threaded and sequential execution";
-    EXPECT_GT(threaded[i].virtual_time, 0u);
+    EXPECT_GT(threaded[i].os.now, 0);
   }
 }
 
@@ -220,28 +196,32 @@ INSTANTIATE_TEST_SUITE_P(Platforms, FleetThreadingTest,
 
 TEST(FleetSeeding, SameSeedAndIdReplaysBitIdentically) {
   const MachineConfig cfg = SmallConfig(/*with_chaos=*/true);
-  const Snapshot first =
+  const MachineImage first =
       RunWholeMachine(PlatformProfile::Linux22(), cfg, /*id=*/7, kFleetSeed);
-  const Snapshot again =
+  const MachineImage again =
       RunWholeMachine(PlatformProfile::Linux22(), cfg, /*id=*/7, kFleetSeed);
-  EXPECT_TRUE(first == again);
+  EXPECT_PRED_FORMAT2(SameState, StateDigest(first), StateDigest(again));
 }
 
 TEST(FleetSeeding, DistinctSeedsDecorrelateStreams) {
   const MachineConfig cfg = SmallConfig(/*with_chaos=*/true);
-  const Snapshot s1 = RunWholeMachine(PlatformProfile::Linux22(), cfg, /*id=*/0, 1);
-  const Snapshot s2 = RunWholeMachine(PlatformProfile::Linux22(), cfg, /*id=*/0, 2);
-  EXPECT_FALSE(s1 == s2) << "different fleet seeds produced identical machines";
+  const MachineImage s1 = RunWholeMachine(PlatformProfile::Linux22(), cfg, /*id=*/0, 1);
+  const MachineImage s2 = RunWholeMachine(PlatformProfile::Linux22(), cfg, /*id=*/0, 2);
+  EXPECT_NE(StateDigest(s1), StateDigest(s2))
+      << "different fleet seeds produced identical machines";
   // The chaos stream specifically must differ, not just timing jitter.
-  EXPECT_FALSE(s1.chaos == s2.chaos) << "chaos stream did not re-seed";
+  EXPECT_FALSE(s1.os.chaos_stats == s2.os.chaos_stats) << "chaos stream did not re-seed";
 }
 
 TEST(FleetSeeding, DistinctMachineIdsDecorrelateStreams) {
   const MachineConfig cfg = SmallConfig(/*with_chaos=*/true);
-  const Snapshot s1 = RunWholeMachine(PlatformProfile::Linux22(), cfg, /*id=*/0, kFleetSeed);
-  const Snapshot s2 = RunWholeMachine(PlatformProfile::Linux22(), cfg, /*id=*/1, kFleetSeed);
-  EXPECT_FALSE(s1 == s2) << "different machine ids produced identical machines";
-  EXPECT_FALSE(s1.chaos == s2.chaos);
+  const MachineImage s1 =
+      RunWholeMachine(PlatformProfile::Linux22(), cfg, /*id=*/0, kFleetSeed);
+  const MachineImage s2 =
+      RunWholeMachine(PlatformProfile::Linux22(), cfg, /*id=*/1, kFleetSeed);
+  EXPECT_NE(StateDigest(s1), StateDigest(s2))
+      << "different machine ids produced identical machines";
+  EXPECT_FALSE(s1.os.chaos_stats == s2.os.chaos_stats);
 }
 
 TEST(FleetSeeding, DerivedSeedsAreStableAndStreamSpecific) {
@@ -271,7 +251,10 @@ TEST(FleetSeeding, ConfigSeededMachineMatchesBareOs) {
   for (int step = 0; step < kSteps; ++step) {
     RunStep(os, step);
   }
-  EXPECT_TRUE(Snap(m) == Snap(os))
+  // The bare Os has no identity of its own; it borrows the Machine's, so
+  // the comparison covers every other section.
+  EXPECT_PRED_FORMAT2(SameState, StateOf(m),
+                      StateDigest(MachineImage{m.id(), m.root_seed(), os.CaptureImage()}))
       << "config-seeded Machine diverged from the hand-assembled Os it replaces";
 }
 
@@ -281,18 +264,7 @@ TEST(FleetSeeding, ConfigSeededMachineMatchesBareOs) {
 // simulated link. The NetDevice draws from machine-derived RNG streams
 // (loss, RED, reorder), so this pins that net traffic obeys the same
 // isolation contract as the disk and chaos streams.
-struct NetSnapshot {
-  Snapshot machine;
-  std::uint64_t sent = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t reordered = 0;
-  Nanos link_busy_until = 0;
-
-  friend bool operator==(const NetSnapshot&, const NetSnapshot&) = default;
-};
-
-NetSnapshot RunNetMachine(const PlatformProfile& profile, const MachineConfig& cfg,
+MachineImage RunNetMachine(const PlatformProfile& profile, const MachineConfig& cfg,
                           std::uint32_t id, std::uint64_t seed) {
   Machine m(profile, cfg, id, seed);
   Os& os = m.os();
@@ -316,15 +288,7 @@ NetSnapshot RunNetMachine(const PlatformProfile& profile, const MachineConfig& c
     });
   }
   os.RunProcesses(bodies);
-
-  NetSnapshot s;
-  s.machine = Snap(os);
-  s.sent = os.net().sent();
-  s.delivered = os.net().delivered();
-  s.dropped = os.net().dropped();
-  s.reordered = os.net().reordered();
-  s.link_busy_until = os.net().link().busy_until();
-  return s;
+  return m.Snapshot();
 }
 
 TEST(FleetNet, ThreadedNetTrafficMatchesSequential) {
@@ -335,20 +299,21 @@ TEST(FleetNet, ThreadedNetTrafficMatchesSequential) {
   cfg.net.reorder_prob = 0.05;
   constexpr int kMachines = 3;
 
-  std::vector<NetSnapshot> sequential(kMachines);
+  std::vector<MachineImage> sequential(kMachines);
   for (int i = 0; i < kMachines; ++i) {
     sequential[i] =
         RunNetMachine(profile, cfg, static_cast<std::uint32_t>(i), kFleetSeed);
   }
   // The scenario must actually exercise the link's loss machinery.
-  EXPECT_GT(sequential[0].delivered, 0u);
-  EXPECT_GT(sequential[0].dropped, 0u);
-  EXPECT_GT(sequential[0].machine.stats.net_sends, 0u);
-  EXPECT_GT(sequential[0].machine.stats.net_recvs, 0u);
-  ASSERT_FALSE(sequential[0] == sequential[1])
+  const NetDevice::State& net = sequential[0].os.net;
+  EXPECT_GT(net.delivered, 0u);
+  EXPECT_GT(net.loss_drops + net.congestion_drops + net.red_drops + net.chaos_drops, 0u);
+  EXPECT_GT(sequential[0].os.os_stats.net_sends, 0u);
+  EXPECT_GT(sequential[0].os.os_stats.net_recvs, 0u);
+  ASSERT_NE(StateDigest(sequential[0]), StateDigest(sequential[1]))
       << "distinct machine ids should draw distinct loss streams";
 
-  std::vector<NetSnapshot> threaded(kMachines);
+  std::vector<MachineImage> threaded(kMachines);
   std::vector<std::thread> threads;
   threads.reserve(kMachines);
   for (int i = 0; i < kMachines; ++i) {
@@ -361,7 +326,7 @@ TEST(FleetNet, ThreadedNetTrafficMatchesSequential) {
     t.join();
   }
   for (int i = 0; i < kMachines; ++i) {
-    EXPECT_TRUE(threaded[i] == sequential[i])
+    EXPECT_PRED_FORMAT2(SameState, StateDigest(threaded[i]), StateDigest(sequential[i]))
         << "machine " << i << " net traffic diverged under threading";
   }
 }

@@ -2,13 +2,15 @@
 //
 // A fork (Machine::Fork of a Machine::Snapshot image) must not merely be
 // "equivalent" to the original — its subsequent execution must be
-// bit-identical: same virtual times, same OsStats, same chaos decisions,
-// same trace. These tests pin that property across all three platform
+// bit-identical: the same bytes in every checkpoint section (virtual time,
+// stats, chaos decisions, caches, queues) and the same trace. These tests pin that property across all three platform
 // profiles with chaos armed, with pending events in flight at the snapshot
 // instant (device completions, daemon wakeups, chaos ticks, undelivered
 // net messages), through double forks, and through snapshot-of-fork
 // round trips. Labeled `snapshot`: CI runs this suite under ASan+UBSan.
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -19,6 +21,7 @@
 #include "src/os/machine.h"
 #include "src/os/machine_image_io.h"
 #include "src/workloads/filegen.h"
+#include "tests/same_state.h"
 
 namespace graysim {
 namespace {
@@ -99,18 +102,11 @@ void RunContinuation(Machine& machine) {
   }});
 }
 
-struct Fingerprint {
-  Nanos now = 0;
-  OsStats stats;
-  ChaosStats chaos;
-  std::uint64_t trace_digest = 0;
-
-  friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
-};
-
-Fingerprint FingerprintOf(const Machine& machine) {
-  return Fingerprint{machine.Now(), machine.os().stats(), machine.os().chaos_stats(),
-                     TraceDigest(machine.os().trace())};
+// The divergence check: every byte a checkpoint carries, plus the trace,
+// which an image does not carry.
+void ExpectSameRun(const Machine& a, const Machine& b) {
+  EXPECT_PRED_FORMAT2(SameState, StateOf(a), StateOf(b));
+  EXPECT_EQ(TraceDigest(a.os().trace()), TraceDigest(b.os().trace()));
 }
 
 // Warm + arm chaos + run a little so the snapshot lands mid-chaos with
@@ -148,7 +144,7 @@ TEST(SnapshotTest, ForkReplaysBitIdenticallyOnAllProfilesWithChaos) {
     fork->os().trace().Enable();
     RunContinuation(*original);
     RunContinuation(*fork);
-    EXPECT_EQ(FingerprintOf(*fork), FingerprintOf(*original));
+    ExpectSameRun(*fork, *original);
     EXPECT_NE(TraceDigest(original->os().trace()), 0u);
   }
 }
@@ -194,8 +190,8 @@ TEST(SnapshotTest, DoubleForkReplaysDivergenceFree) {
   RunContinuation(*fork_a);
   RunContinuation(*fork_b);
   RunContinuation(*original);
-  EXPECT_EQ(FingerprintOf(*fork_a), FingerprintOf(*fork_b));
-  EXPECT_EQ(FingerprintOf(*fork_a), FingerprintOf(*original));
+  ExpectSameRun(*fork_a, *fork_b);
+  ExpectSameRun(*fork_a, *original);
 }
 
 TEST(SnapshotTest, SnapshotOfForkRoundTrips) {
@@ -212,7 +208,7 @@ TEST(SnapshotTest, SnapshotOfForkRoundTrips) {
   ASSERT_EQ(grandchild->Now(), fork->Now());
   RunContinuation(*fork);
   RunContinuation(*grandchild);
-  EXPECT_EQ(FingerprintOf(*grandchild), FingerprintOf(*fork));
+  ExpectSameRun(*grandchild, *fork);
 }
 
 TEST(SnapshotTest, ResumedFromDiskReplaysBitIdenticallyOnAllProfilesWithChaos) {
@@ -244,8 +240,43 @@ TEST(SnapshotTest, ResumedFromDiskReplaysBitIdenticallyOnAllProfilesWithChaos) {
     resumed->os().trace().Enable();
     RunContinuation(*original);
     RunContinuation(*resumed);
-    EXPECT_EQ(FingerprintOf(*resumed), FingerprintOf(*original));
+    ExpectSameRun(*resumed, *original);
     EXPECT_NE(TraceDigest(resumed->os().trace()), 0u);
+  }
+}
+
+// Whole-file goldens for SaveMachineImage on WarmChaoticMachine: every
+// byte of all nine sections, per profile. A mismatch is a format change:
+// it needs kMachineImageFormatVersion bumped, not new goldens.
+struct FileGolden {
+  PlatformProfile (*profile)();
+  std::size_t size;
+  std::uint64_t fnv1a;
+};
+
+constexpr FileGolden kFileGoldens[] = {
+    {&PlatformProfile::Linux22, 2213634, 13138871633040426729ULL},
+    {&PlatformProfile::NetBsd15, 2213720, 7986269682131498611ULL},
+    {&PlatformProfile::Solaris7, 2213634, 4839524433016351081ULL},
+};
+
+TEST(SnapshotTest, CheckpointFileBytesMatchGoldensOnAllProfiles) {
+  for (const FileGolden& golden : kFileGoldens) {
+    const PlatformProfile profile = golden.profile();
+    SCOPED_TRACE(profile.name);
+    const std::unique_ptr<Machine> machine = WarmChaoticMachine(profile);
+    const std::string path = ::testing::TempDir() + "/golden_" + profile.name + ".gsim";
+    std::string error;
+    ASSERT_TRUE(SaveMachineImage(machine->Snapshot(), path, &error)) << error;
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    for (const char c : bytes) {
+      h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001B3ULL;
+    }
+    EXPECT_EQ(bytes.size(), golden.size);
+    EXPECT_EQ(h, golden.fnv1a);
   }
 }
 

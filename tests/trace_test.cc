@@ -18,6 +18,7 @@
 #include "src/obs/trace.h"
 #include "src/os/machine.h"
 #include "src/os/os.h"
+#include "tests/same_state.h"
 
 namespace graysim {
 namespace {
@@ -84,19 +85,10 @@ void MakeFile(Os& os, Pid pid, const std::string& path, std::uint64_t bytes) {
   ASSERT_EQ(os.Close(pid, fd), 0);
 }
 
-struct Snapshot {
-  Nanos virtual_time = 0;
-  OsStats stats;
-  ChaosStats chaos;
-  std::vector<std::uint64_t> queue_totals;
-
-  friend bool operator==(const Snapshot&, const Snapshot&) = default;
-};
-
 // Runs a mixed multi-process workload (reads + readahead, dirty writes,
-// memory churn, sleeps) with or without tracing; `sink_out` receives the
-// Os's sink contents when traced.
-Snapshot RunWorkload(const PlatformProfile& profile, bool traced,
+// memory churn, sleeps) with or without tracing and returns the machine's
+// image at the end; `events_out` receives the Os's sink contents when traced.
+MachineImage RunWorkload(const PlatformProfile& profile, bool traced,
                      std::vector<obs::TraceEvent>* events_out = nullptr,
                      std::vector<std::string>* tracks_out = nullptr) {
   MachineConfig cfg;
@@ -144,20 +136,13 @@ Snapshot RunWorkload(const PlatformProfile& profile, bool traced,
   }
   os.RunProcesses(bodies);
 
-  Snapshot snap;
-  snap.virtual_time = os.Now();
-  snap.stats = os.stats();
-  snap.chaos = os.chaos_stats();
-  for (int d = 0; d < os.num_disks(); ++d) {
-    snap.queue_totals.push_back(os.disk_queue(d).total_requests());
-  }
   if (events_out != nullptr) {
     os.trace().Snapshot(events_out);
   }
   if (tracks_out != nullptr) {
     *tracks_out = os.trace().track_names();
   }
-  return snap;
+  return machine.Snapshot();
 }
 
 // ---- span nesting ----
@@ -312,13 +297,10 @@ class TracePassivityTest : public ::testing::TestWithParam<const char*> {
 TEST_P(TracePassivityTest, TraceOnAndOffAreBitIdentical) {
   const PlatformProfile profile = ProfileFor(GetParam());
   std::vector<obs::TraceEvent> events;
-  const Snapshot off = RunWorkload(profile, /*traced=*/false);
-  const Snapshot on = RunWorkload(profile, /*traced=*/true, &events);
-  EXPECT_EQ(off.virtual_time, on.virtual_time);
-  EXPECT_TRUE(off.stats == on.stats);
-  EXPECT_TRUE(off.chaos == on.chaos);
-  EXPECT_EQ(off.queue_totals, on.queue_totals);
-  EXPECT_GT(off.virtual_time, 0u);
+  const MachineImage off = RunWorkload(profile, /*traced=*/false);
+  const MachineImage on = RunWorkload(profile, /*traced=*/true, &events);
+  EXPECT_PRED_FORMAT2(SameState, StateDigest(off), StateDigest(on));
+  EXPECT_GT(off.os.now, 0);
   if (obs::TraceSink::compiled_in()) {
     EXPECT_FALSE(events.empty()) << "traced run recorded nothing";
   }
