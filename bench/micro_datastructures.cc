@@ -15,7 +15,9 @@
 // warm-once/fork-per-cell pattern depends on. The last two sections price
 // a fleet host's life cycle: building a service-shaped Machine (host ns and
 // exact heap bytes per build) and unlinking a small file out of a 1M-page
-// page cache (the DropFile path every simulated unlink takes).
+// page cache (the DropFile path every simulated unlink takes). The last
+// prices one fiber switch through the scheduler, the cost every simulated
+// sleep, wake and slice expiry pays on top of its own work.
 //
 // Loops are deterministic (fixed xorshift seed) and sized to run long
 // enough to dominate timer noise while keeping the whole binary under a
@@ -32,6 +34,7 @@
 #include "src/cache/page_cache.h"
 #include "src/mem/mem_system.h"
 #include "src/os/machine.h"
+#include "src/os/scheduler.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/ref_event_heap.h"
 #include "src/workloads/filegen.h"
@@ -321,6 +324,31 @@ void BenchDropFile(gbench::JsonResults& json) {
   json.Add("drop_file_ns", drop_ns, "host_ns");
 }
 
+// Two fibers ping-pong through Scheduler::Yield. Each Yield drains the
+// (empty) due-event batch, switches out to the dispatch loop, and the loop
+// switches into the other fiber: host ns per Yield, i.e. per hand-over from
+// one simulated process to the next.
+void BenchFiberSwitch(gbench::JsonResults& json) {
+  graysim::SimClock clock;
+  EventQueue events(0x5eed);
+  graysim::Scheduler sched(&clock, &events, graysim::Millis(10.0));
+  constexpr int kYieldsPerFiber = 500'000;
+  const auto body = [&sched](int p) {
+    for (int i = 0; i < kYieldsPerFiber; ++i) {
+      sched.Yield(p);
+    }
+  };
+  const auto start = std::chrono::steady_clock::now();
+  sched.Run({body, body});
+  const double switch_ns =
+      std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
+          .count() /
+      (2.0 * kYieldsPerFiber);
+  std::printf("%-28s %10.1f ns/yield (two fibers, via the dispatch loop)\n", "fiber_switch",
+              switch_ns);
+  json.Add("fiber_switch_ns", switch_ns, "host_ns");
+}
+
 }  // namespace
 
 int main() {
@@ -362,6 +390,7 @@ int main() {
   BenchSnapshotFork(json);
   BenchMachineBuild(json);
   BenchDropFile(json);
+  BenchFiberSwitch(json);
 
   json.Write();
   return 0;

@@ -129,13 +129,19 @@ class PageCache {
   // layouts, then the dirty chain's head/tail/size (its links live in the
   // frame slab). Neither map ever holds more entries than the machine has
   // frames, and pages_ is reserved for exactly that many, so a capacity
-  // above max(16, 4 x frames) cannot come from a real machine.
+  // above max(16, 4 x frames) cannot come from a real machine. The frame
+  // ids in pages_ and the dirty chain must name frames of the MemSystem
+  // slab, which is read before this cache.
   template <typename Ar>
   void Transfer(Ar& ar) {
     const std::uint64_t max_capacity = std::max<std::uint64_t>(16, 4 * mem_->total_pages());
+    const std::uint64_t frames = mem_->frames().frame_count();
     pages_.Transfer(ar, max_capacity);
     per_file_count_.Transfer(ar, max_capacity);
-    ar(dirty_order_);
+    dirty_order_.Transfer(ar, frames);
+    if constexpr (Ar::kReading) {
+      pages_.ForEach([&](std::uint64_t, FrameId frame) { ar.Check(frame < frames); });
+    }
   }
 
   // Raw state for the slot-scan reference model in page_cache_index_test.

@@ -40,6 +40,11 @@ struct Page {
 using FrameId = std::uint32_t;
 constexpr FrameId kNoFrame = 0xFFFFFFFFu;
 
+// A list link or head names a frame of a `frames`-frame slab, or no frame.
+[[nodiscard]] constexpr bool LinkWithin(FrameId id, std::uint64_t frames) {
+  return id == kNoFrame || id < frames;
+}
+
 // Hot per-frame state: the intrusive list links.
 struct FrameHot {
   FrameId lru_prev = kNoFrame;    // MemSystem replacement list
@@ -138,6 +143,7 @@ class FrameTable {
   }
 
   [[nodiscard]] std::uint64_t live_frames() const { return hot_.size() - free_.size(); }
+  [[nodiscard]] std::uint64_t frame_count() const { return hot_.size(); }
 
   // Heap footprint of the slab arrays (snapshot-size accounting).
   [[nodiscard]] std::uint64_t ApproxBytes() const {
@@ -163,6 +169,8 @@ class FrameTable {
   // by column, then the free list. The free list's LIFO *order* is machine
   // state: Allocate pops the back, so a reordered free list hands out
   // different FrameIds after restore and diverges a bit-identical replay.
+  // Reading rejects a free-list entry or link that names no frame of the
+  // slab: every later list operation indexes the slab with it unchecked.
   template <typename Ar>
   void Transfer(Ar& ar) {
     std::uint64_t n = hot_.size();
@@ -180,6 +188,16 @@ class FrameTable {
     }
     ar(std::span(hot_), std::span(touch_), std::span(flags_), std::span(key1_),
        std::span(key2_), free_);
+    if constexpr (Ar::kReading) {
+      ar.Check(free_.size() <= n);
+      for (const FrameId id : free_) {
+        ar.Check(id < n);
+      }
+      for (const FrameHot& h : hot_) {
+        ar.Check(LinkWithin(h.lru_prev, n) && LinkWithin(h.lru_next, n) &&
+                 LinkWithin(h.dirty_prev, n) && LinkWithin(h.dirty_next, n));
+      }
+    }
   }
 
  private:
@@ -257,10 +275,12 @@ class IntrusiveFrameList {
   }
 
   // Checkpoint form: the links live in the slab and transfer with it; only
-  // the head/tail/size triple is list-local.
+  // the head/tail/size triple is list-local. Reading rejects a head or tail
+  // that names no frame of the `frames`-frame slab the list threads.
   template <typename Ar>
-  void Transfer(Ar& ar) {
+  void Transfer(Ar& ar, std::uint64_t frames) {
     ar(head_, tail_, size_);
+    ar.Check(LinkWithin(head_, frames) && LinkWithin(tail_, frames) && size_ <= frames);
   }
 
  private:

@@ -147,10 +147,16 @@ class MemSystem {
 
   // Checkpoint form (src/sim/archive.h): the slab, the list heads, the
   // counters. The config and eviction handler are identity, not state: a
-  // loader builds the MemSystem from the checkpointed config first.
+  // loader builds the MemSystem from the checkpointed config first, and
+  // rejects a slab larger than that config's pool (Insert never grows one).
   template <typename Ar>
   void Transfer(Ar& ar) {
-    ar(frames_, file_lru_, anon_lru_, file_pages_, anon_pages_, touch_seq_, stats_);
+    ar(frames_);
+    const std::uint64_t frames = frames_.frame_count();
+    ar.Check(frames <= config_.total_pages);
+    file_lru_.Transfer(ar, frames);
+    anon_lru_.Transfer(ar, frames);
+    ar(file_pages_, anon_pages_, touch_seq_, stats_);
   }
 
  private:

@@ -148,6 +148,12 @@ void TransferSection(Ar& ar, Section section, MachineImage& image) {
       break;
     case Section::kTables:
       ar(os.fd_tables);
+      // An open descriptor names one of the checkpointed disks.
+      for (const auto& table : os.fd_tables) {
+        for (const auto& fd : table) {
+          ar.Check(!fd.open || (fd.disk >= 0 && fd.disk < config.num_disks));
+        }
+      }
       // In-flight fills are keyed by disk page, and at most every page of
       // every disk can be on the wire at once.
       os.inflight_reads.Transfer(

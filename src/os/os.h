@@ -551,13 +551,14 @@ class Os : private EvictionHandler {
  public:
   // ---- snapshot / fork ----
   // A self-contained copy of one Os's complete simulation state, captured
-  // at quiescence (between RunProcesses calls — ucontext fiber stacks
-  // cannot be serialized, and none exist then). Pending events are pure
-  // data (EventDesc); the noncopyable memory-hierarchy classes are held
-  // behind pointers and state-copied both ways. An Image is immutable after
-  // capture and safe to share across threads, so any number of machines can
-  // fork from one image concurrently. Declared after the private section
-  // because it embeds the private FdEntry/InflightRead table types.
+  // at quiescence (between RunProcesses calls — a fiber's stack of raw
+  // saved registers and return addresses cannot be serialized, and none
+  // exist then). Pending events are pure data (EventDesc); the noncopyable
+  // memory-hierarchy classes are held behind pointers and state-copied
+  // both ways. An Image is immutable after capture and safe to share
+  // across threads, so any number of machines can fork from one image
+  // concurrently. Declared after the private section because it embeds the
+  // private FdEntry/InflightRead table types.
   struct Image {
     PlatformProfile profile;
     MachineConfig config;

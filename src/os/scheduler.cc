@@ -8,6 +8,14 @@
 #include <cstdlib>
 #include <string>
 
+#if !defined(__x86_64__)
+#error "graysim fibers: the stack switch (fiber_switch_x86_64.S) exists for x86-64 only"
+#endif
+
+// Saves the callee-saved registers and FP control words on the current
+// stack, stores its pointer in *save_sp, and resumes the frame at load_sp.
+extern "C" void graysim_fiber_switch(void** save_sp, void* load_sp);
+
 // ASan must be told about every stack switch or it reports false positives
 // (and its fake-stack GC frees frames that are still live on other fibers).
 #if defined(__has_feature)
@@ -27,10 +35,10 @@ void __asan_unpoison_memory_region(void const volatile* addr, size_t size);
 }
 #endif
 
-// TSan likewise needs explicit fiber bookkeeping: a ucontext switch moves
-// the stack pointer out of the range it associates with the host thread,
-// which it otherwise reports as a corrupted stack. Each fiber gets a TSan
-// fiber object; switches are announced right before the swapcontext.
+// TSan likewise needs explicit fiber bookkeeping: a stack switch moves the
+// stack pointer out of the range it associates with the host thread, which
+// it otherwise reports as a corrupted stack. Each fiber gets a TSan fiber
+// object; switches are announced right before graysim_fiber_switch.
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define GRAYSIM_TSAN_FIBERS 1
@@ -86,23 +94,28 @@ class StackPool {
 
   // Returns the lowest usable byte of a kFiberStackBytes stack.
   char* Acquire() {
+    char* stack = nullptr;
     if (!free_.empty()) {
-      char* stack = free_.back();
+      stack = free_.back();
       free_.pop_back();
+    } else {
+      void* base = mmap(nullptr, kGuardBytes + kFiberStackBytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+      if (base == MAP_FAILED || mprotect(base, kGuardBytes, PROT_NONE) != 0) {
+        std::perror("graysim: fiber stack mmap");
+        std::abort();
+      }
+      stack = static_cast<char*>(base) + kGuardBytes;
+    }
 #if defined(GRAYSIM_ASAN_FIBERS)
-      // A fiber's last frames never return (it switches away for good), so
-      // their redzones would stay poisoned into the stack's next use.
-      __asan_unpoison_memory_region(stack, kFiberStackBytes);
+    // Stale poison, which SeedStack's writes to the top frame would trip: a
+    // reused stack's last frames never return (the fiber switches away for
+    // good), so their redzones stay poisoned; and a fresh mapping inherits
+    // the shadow of whatever stack was mapped at its address before (an
+    // exited thread's pool, say).
+    __asan_unpoison_memory_region(stack, kFiberStackBytes);
 #endif
-      return stack;
-    }
-    void* base = mmap(nullptr, kGuardBytes + kFiberStackBytes, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
-    if (base == MAP_FAILED || mprotect(base, kGuardBytes, PROT_NONE) != 0) {
-      std::perror("graysim: fiber stack mmap");
-      std::abort();
-    }
-    return static_cast<char*>(base) + kGuardBytes;
+    return stack;
   }
 
   void Release(char* stack) { free_.push_back(stack); }
@@ -113,13 +126,31 @@ class StackPool {
 
 thread_local StackPool t_stack_pool;
 
-// The trampoline installed by makecontext takes no arguments, so the
+// The trampoline a fresh stack returns into takes no arguments, so the
 // scheduler whose Run() is executing parks itself here. thread_local, not
 // global: every machine runs its fibers wholly on one host thread, so N
 // machines on N threads each get their own slot and never observe a
 // neighbor's scheduler — the one cross-machine global the fleet refactor
 // removed. Nested Run() calls remain forbidden per thread.
 thread_local Scheduler* t_running = nullptr;
+
+// Lays out on a fresh stack the frame graysim_fiber_switch pops (see the
+// .S file), so the first switch into it returns into `entry`. The caller's
+// MXCSR and x87 control word seed the fiber's, as a call would pass them
+// on. Above the entry address sits a zero return address: `entry` starts
+// with the stack 16-byte aligned as after a call, and an unwinder or
+// debugger walking out of it stops there. Returns the saved stack pointer.
+void* SeedStack(char* stack, void (*entry)()) {
+  auto* top = reinterpret_cast<std::uint64_t*>(stack + kFiberStackBytes);
+  std::uint64_t* sp = top - 9;
+  std::uint16_t x87_cw = 0;
+  __asm__("fnstcw %0" : "=m"(x87_cw));
+  sp[0] = __builtin_ia32_stmxcsr() | std::uint64_t{x87_cw} << 32;
+  std::fill(sp + 1, sp + 7, 0);  // r15, r14, r13, r12, rbx, rbp
+  sp[7] = reinterpret_cast<std::uint64_t>(entry);
+  sp[8] = 0;
+  return sp;
+}
 
 }  // namespace
 
@@ -155,7 +186,7 @@ void Scheduler::SwitchToFiber(int i) {
   if (traced) {
     trace_->Begin(fiber_tracks_[i], "run", clock_->now());
   }
-  swapcontext(&main_ctx_, &f.ctx);
+  graysim_fiber_switch(&main_sp_, f.sp);
 #if defined(GRAYSIM_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(main_fake_stack_, nullptr, nullptr);
 #endif
@@ -176,7 +207,7 @@ void Scheduler::SwitchToMain(bool dying) {
 #if defined(GRAYSIM_TSAN_FIBERS)
   __tsan_switch_to_fiber(main_tsan_fiber_, 0);
 #endif
-  swapcontext(&f.ctx, &main_ctx_);
+  graysim_fiber_switch(&f.sp, main_sp_);
   // Resumed (never reached when dying).
 #if defined(GRAYSIM_ASAN_FIBERS)
   __sanitizer_finish_switch_fiber(f.fake_stack, nullptr, nullptr);
@@ -195,11 +226,7 @@ void Scheduler::Run(const std::vector<std::function<void(int)>>& bodies) {
   for (int i = 0; i < n; ++i) {
     auto f = std::make_unique<Fiber>();
     f->stack = t_stack_pool.Acquire();
-    getcontext(&f->ctx);
-    f->ctx.uc_stack.ss_sp = f->stack;
-    f->ctx.uc_stack.ss_size = kFiberStackBytes;
-    f->ctx.uc_link = nullptr;  // fibers exit via SwitchToMain, never return
-    makecontext(&f->ctx, &Scheduler::Trampoline, 0);
+    f->sp = SeedStack(f->stack, &Scheduler::Trampoline);
 #if defined(GRAYSIM_TSAN_FIBERS)
     f->tsan_fiber = __tsan_create_fiber(0);
 #endif

@@ -1,11 +1,12 @@
 // Deterministic cooperative round-robin scheduler for simulated processes.
 //
-// Each simulated process runs on a stackful fiber (ucontext) multiplexed on
-// the single host thread that called Run(). Control transfers happen at
-// syscall-charge points, sleeps, and exits — the same yield points as the
-// old thread-per-process turnstile — but a switch is now two swapcontext
-// calls instead of a mutex/condvar crossing, so the per-charge fast path
-// takes no locks at all and scales to dozens of competing processes.
+// Each simulated process runs on a stackful fiber multiplexed on the single
+// host thread that called Run(). Control transfers happen at syscall-charge
+// points, sleeps, and exits — the same yield points as the old
+// thread-per-process turnstile — but a switch is now one register-only
+// stack switch (fiber_switch_x86_64.S: callee-saved registers, MXCSR and
+// x87 control words, rsp) instead of a mutex/condvar crossing, so neither
+// the per-charge fast path nor a switch takes a lock or enters the kernel.
 //
 // Sleep/wake is delegated to the discrete-event queue: a sleeping fiber
 // schedules its own wake event (Band::kWake), and when no fiber is runnable
@@ -14,9 +15,9 @@
 // execution on one deterministic timeline.
 //
 // Each scheduler is confined to whichever host thread calls its Run(): the
-// running-scheduler slot consulted by the makecontext trampoline is
-// thread_local, so N independent machines may run on N host threads
-// concurrently (the fleet model) with zero shared state between them.
+// running-scheduler slot consulted by the fiber trampoline is thread_local,
+// so N independent machines may run on N host threads concurrently (the
+// fleet model) with zero shared state between them.
 //
 // Fiber stacks are borrowed for the length of one Run() from a pool owned by
 // the host thread (see scheduler.cc): mmap'd, with a PROT_NONE guard region
@@ -24,8 +25,6 @@
 // reused across Run() calls and across every machine the thread builds.
 #ifndef SRC_OS_SCHEDULER_H_
 #define SRC_OS_SCHEDULER_H_
-
-#include <ucontext.h>
 
 #include <cstdint>
 #include <functional>
@@ -83,7 +82,7 @@ class Scheduler {
   enum class State : std::uint8_t { kReady, kSleeping, kDone };
 
   struct Fiber {
-    ucontext_t ctx{};
+    void* sp = nullptr;     // saved stack pointer while switched out
     char* stack = nullptr;  // lowest usable byte; borrowed from the thread's pool
     State state = State::kReady;
     Nanos slice_used = 0;
@@ -91,7 +90,7 @@ class Scheduler {
     // from this fiber (see __sanitizer_start_switch_fiber).
     void* fake_stack = nullptr;
     // TSan bookkeeping: the __tsan_create_fiber handle announced before
-    // every swapcontext into this fiber. Null outside TSan builds.
+    // every switch into this fiber. Null outside TSan builds.
     void* tsan_fiber = nullptr;
   };
 
@@ -114,7 +113,7 @@ class Scheduler {
   std::vector<std::uint32_t> fiber_tracks_;  // trace track id per fiber index
   std::vector<std::unique_ptr<Fiber>> fibers_;
   const std::vector<std::function<void(int)>>* bodies_ = nullptr;
-  ucontext_t main_ctx_{};
+  void* main_sp_ = nullptr;  // dispatch loop's stack pointer while a fiber runs
   void* main_fake_stack_ = nullptr;
   // TSan handle of the dispatch loop's host thread, captured at Run() entry.
   void* main_tsan_fiber_ = nullptr;

@@ -94,11 +94,21 @@ class Vm {
 
   // Checkpoint form (src/sim/archive.h). PTEs travel as their raw packed
   // 64-bit form; the frame ids inside refer into the MemSystem slab
-  // checkpointed alongside. The mru_area hint is derived state and is not
-  // written.
+  // checkpointed alongside, so reading rejects a PTE state past kSwapped
+  // and a resident PTE naming no frame of that slab. The mru_area hint is
+  // derived state and is not written.
   template <typename Ar>
   void Transfer(Ar& ar) {
     ar(spaces_, next_area_, next_swap_slot_, free_swap_slots_);
+    if constexpr (Ar::kReading) {
+      const std::uint64_t frames = mem_->frames().frame_count();
+      for (const ProcessSpace& space : spaces_) {
+        for (const Pte& pte : space.table) {
+          ar.Check(pte.state() <= PteState::kSwapped &&
+                   (pte.state() != PteState::kResident || pte.ref() < frames));
+        }
+      }
+    }
   }
 
  private:

@@ -431,9 +431,36 @@ TEST(CrashTest, CorruptCheckpointsAreRejectedWithoutPartialRestore) {
                      at += 8 + 4 * LoadLe(b, at, 8) + 32 + 24 + 32;
                      StoreLe(b, at, oversized, 8);
                    })});
+  // References into the frame slab that name no frame of it. Frame 0's
+  // links start the slab (lru_prev, lru_next, ...; u32 each); the file
+  // LRU's head follows the free list; the page map's live slots are (u64
+  // index, u64 key, u32 frame) after its capacity and live count.
+  cases.push_back({"LRU link past the last frame",
+                   EditSection(good, kMemory, [](std::vector<std::uint8_t>& b) {
+                     StoreLe(b, 8 + 4, LoadLe(b, 0, 8), 4);
+                   })});
+  cases.push_back({"LRU head past the last frame",
+                   EditSection(good, kMemory, [](std::vector<std::uint8_t>& b) {
+                     const std::size_t at = 8 + 41 * LoadLe(b, 0, 8);
+                     StoreLe(b, at + 8 + 4 * LoadLe(b, at, 8), LoadLe(b, 0, 8), 4);
+                   })});
+  cases.push_back({"page map value 0x7FFFFFF0",
+                   EditSection(good, kMemory, [](std::vector<std::uint8_t>& b) {
+                     std::size_t at = 8 + 41 * LoadLe(b, 0, 8);
+                     at += 8 + 4 * LoadLe(b, at, 8) + 32 + 24 + 32;
+                     ASSERT_GT(LoadLe(b, at + 8, 8), 0u) << "page map is empty";
+                     StoreLe(b, at + 16 + 16, 0x7FFFFFF0, 4);
+                   })});
   // Tables payload: the fd tables (u64 count; per table a u64 count and 33
-  // bytes per entry), then the in-flight map (capacity, live count, 32
-  // bytes per live slot), replaced here by an empty 8-slot map.
+  // bytes per entry: open bool, disk i64, ...), then the in-flight map
+  // (capacity, live count, 32 bytes per live slot), replaced in the second
+  // case by an empty 8-slot map.
+  cases.push_back({"open descriptor on a disk past the last",
+                   EditSection(good, kTables, [&](std::vector<std::uint8_t>& b) {
+                     ASSERT_GT(LoadLe(b, 8, 8), 0u) << "fd table 0 is empty";
+                     b[16] = 1;
+                     StoreLe(b, 17, static_cast<std::uint64_t>(config.num_disks), 8);
+                   })});
   cases.push_back({"map capacity below the minimum",
                    EditSection(good, kTables, [](std::vector<std::uint8_t>& b) {
                      std::size_t at = 8;

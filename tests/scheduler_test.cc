@@ -1,13 +1,18 @@
 // Deterministic fiber scheduler: fairness, sleeping, determinism, and
 // scaling across process counts (TEST_P sweep). Sleep/wake goes through the
 // discrete-event queue, so every fixture pairs the scheduler with one. The
-// last tests cover the fiber stacks themselves: an overflow stops on the
-// guard page, and a host thread's stacks are unmapped when it exits.
+// switch tests check what the register-only stack switch must carry: FP
+// control words, callee-saved registers, ABI stack alignment, and
+// exceptions unwinding inside a fiber. The last tests cover the fiber
+// stacks themselves: an overflow stops on the guard page, and a host
+// thread's stacks are unmapped when it exits.
 
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <unistd.h>
+#include <xmmintrin.h>
 
+#include <cfenv>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -202,6 +207,172 @@ TEST_P(SchedulerScaling, ManyProcessesAllFinishDeterministically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ProcCounts, SchedulerScaling, ::testing::Values(1, 2, 4, 8, 16));
+
+// --- the stack switch ------------------------------------------------------
+
+constexpr unsigned kMxcsrRounding = 0x6000;  // MXCSR RC field
+constexpr unsigned kMxcsrTowardZero = 0x6000;
+
+TEST(SchedulerSwitchTest, RoundingModeStaysWithItsFiber) {
+  // The FP control words are callee-saved state of the fiber that set
+  // them: fiber 0 switches to round-toward-zero and keeps it across every
+  // switch; fiber 1 and the dispatch loop (which runs the 1.5 ms event
+  // while both fibers sleep) keep the mode Run() was called with.
+  SimClock clock;
+  EventQueue events(kTieSeed);
+  Scheduler sched(&clock, &events, Millis(10.0));
+  const unsigned outer_mxcsr = _mm_getcsr();
+  const int outer_round = std::fegetround();
+  ASSERT_EQ(outer_mxcsr & kMxcsrRounding, 0u) << "test expects round-to-nearest outside";
+  int fiber0_kept = 0;
+  int fiber1_default = 0;
+  unsigned dispatch_mxcsr = 0;
+  int dispatch_round = -1;
+  events.ScheduleAt(Millis(1.5), EventQueue::Band::kCompletion, [&] {
+    dispatch_mxcsr = _mm_getcsr();
+    dispatch_round = std::fegetround();
+  });
+  constexpr int kRounds = 100;
+  sched.Run({
+      [&](int p) {
+        ASSERT_EQ(std::fesetround(FE_TOWARDZERO), 0);
+        for (int i = 0; i < kRounds; ++i) {
+          sched.Yield(p);
+          fiber0_kept += (_mm_getcsr() & kMxcsrRounding) == kMxcsrTowardZero &&
+                         std::fegetround() == FE_TOWARDZERO;
+        }
+        sched.Sleep(p, Millis(1.0));
+        fiber0_kept += (_mm_getcsr() & kMxcsrRounding) == kMxcsrTowardZero &&
+                       std::fegetround() == FE_TOWARDZERO;
+      },
+      [&](int p) {
+        for (int i = 0; i < kRounds; ++i) {
+          sched.Yield(p);
+          fiber1_default += _mm_getcsr() == outer_mxcsr && std::fegetround() == outer_round;
+        }
+        sched.Sleep(p, Millis(2.0));
+        fiber1_default += _mm_getcsr() == outer_mxcsr && std::fegetround() == outer_round;
+      },
+  });
+  EXPECT_EQ(fiber0_kept, kRounds + 1);
+  EXPECT_EQ(fiber1_default, kRounds + 1);
+  EXPECT_EQ(dispatch_mxcsr, outer_mxcsr);
+  EXPECT_EQ(dispatch_round, outer_round);
+  EXPECT_EQ(_mm_getcsr(), outer_mxcsr);
+  EXPECT_EQ(std::fegetround(), outer_round);
+}
+
+// Six accumulators live across every yield, so the compiler keeps them in
+// callee-saved registers (or its own stack slots) through each switch.
+// With yield == nullptr the same recurrence runs without switching.
+[[gnu::noinline]] std::uint64_t MixAcrossSwitches(std::uint64_t seed, int rounds,
+                                                  const std::function<void()>& yield) {
+  std::uint64_t a = seed;
+  std::uint64_t b = seed * 3 + 1;
+  std::uint64_t c = ~seed;
+  std::uint64_t d = seed ^ 0x9E3779B97F4A7C15ULL;
+  std::uint64_t e = seed << 7;
+  std::uint64_t f = seed + 0x5eed;
+  for (int i = 0; i < rounds; ++i) {
+    a = a * 6364136223846793005ULL + b;
+    b ^= a >> 17;
+    c += b * 31 + static_cast<std::uint64_t>(i);
+    d = (d << 5 | d >> 59) ^ c;
+    e += d * 7;
+    f ^= e + a;
+    if (yield) {
+      yield();
+    }
+  }
+  return a ^ b ^ c ^ d ^ e ^ f;
+}
+
+TEST(SchedulerSwitchTest, CalleeSavedStateSurvivesInterleavedSwitches) {
+  // 8 fibers x 1,250 yields: 10K switches in, each fiber's locals checked
+  // against the same recurrence run without switching.
+  constexpr int kFibers = 8;
+  constexpr int kRounds = 1250;
+  SimClock clock;
+  EventQueue events(kTieSeed);
+  Scheduler sched(&clock, &events, Millis(10.0));
+  std::vector<std::uint64_t> got(kFibers, 0);
+  std::vector<std::function<void(int)>> bodies;
+  for (int i = 0; i < kFibers; ++i) {
+    bodies.push_back([&](int p) {
+      got[p] = MixAcrossSwitches(static_cast<std::uint64_t>(p) + 1, kRounds,
+                                 [&sched, p] { sched.Yield(p); });
+    });
+  }
+  sched.Run(bodies);
+  for (int p = 0; p < kFibers; ++p) {
+    EXPECT_EQ(got[p], MixAcrossSwitches(static_cast<std::uint64_t>(p) + 1, kRounds, nullptr))
+        << "fiber " << p;
+  }
+}
+
+// Frame address of a function called from the fiber: 16-byte aligned iff
+// the fiber started with the stack aligned as after a call.
+[[gnu::noinline]] std::uintptr_t FrameAddress() {
+  return reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+}
+
+TEST(SchedulerSwitchTest, FibersRunOnAbiAlignedStacks) {
+  SimClock clock;
+  EventQueue events(kTieSeed);
+  Scheduler sched(&clock, &events, Millis(10.0));
+  std::vector<std::uintptr_t> frames;
+  const auto body = [&](int p) {
+    frames.push_back(FrameAddress());
+    sched.Yield(p);
+    frames.push_back(FrameAddress());
+  };
+  sched.Run({body, body, body});
+  ASSERT_EQ(frames.size(), 6u);
+  for (const std::uintptr_t frame : frames) {
+    EXPECT_EQ(frame % 16, 0u);
+  }
+}
+
+// Stands in for Os::CrashUnwind: thrown from below a scheduler call after
+// the fiber has been switched out and back in many times.
+struct Unwind {
+  int proc;
+};
+
+TEST(SchedulerSwitchTest, ExceptionAfterManySwitchesIsCaughtInTheBody) {
+  constexpr int kFibers = 4;
+  constexpr int kRounds = 1000;
+  SimClock clock;
+  EventQueue events(kTieSeed);
+  Scheduler sched(&clock, &events, Millis(1.0));
+  std::vector<int> caught(kFibers, -1);
+  std::vector<int> resumed_after_catch(kFibers, 0);
+  std::vector<std::function<void(int)>> bodies;
+  for (int i = 0; i < kFibers; ++i) {
+    bodies.push_back([&](int p) {
+      try {
+        for (int k = 0; k < kRounds; ++k) {
+          sched.Charge(p, Millis(0.5));  // a switch every other charge
+          if (k % 7 == 3) {
+            sched.Yield(p);
+          }
+        }
+        sched.Sleep(p, Millis(1.0 + p));
+        throw Unwind{p};
+      } catch (const Unwind& u) {
+        caught[p] = u.proc;
+      }
+      // The fiber keeps scheduling normally after the unwind.
+      sched.Yield(p);
+      resumed_after_catch[p] = 1;
+    });
+  }
+  sched.Run(bodies);
+  for (int p = 0; p < kFibers; ++p) {
+    EXPECT_EQ(caught[p], p);
+    EXPECT_EQ(resumed_after_catch[p], 1);
+  }
+}
 
 // --- stack overflow --------------------------------------------------------
 
