@@ -8,10 +8,6 @@
 #include <cstdlib>
 #include <string>
 
-#if !defined(__x86_64__)
-#error "graysim fibers: the stack switch (fiber_switch_x86_64.S) exists for x86-64 only"
-#endif
-
 // Saves the callee-saved registers and FP control words on the current
 // stack, stores its pointer in *save_sp, and resumes the frame at load_sp.
 extern "C" void graysim_fiber_switch(void** save_sp, void* load_sp);
